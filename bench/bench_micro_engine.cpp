@@ -1,30 +1,16 @@
 // Engine microbenchmarks (google-benchmark): event calendar throughput,
 // transfer-manager rate reallocation under churn, and end-to-end simulation
 // cost for the Table 1 scenario. These quantify the substrate, not the
-// paper's results.
-//
-// Invoked with --engine-json=PATH the binary skips google-benchmark and
-// instead runs the transfer-churn workload once per reallocation mode
-// (RescheduleAll / Full / Incremental), timing each with std::chrono and
-// writing a machine-readable JSON report (events/sec, flows/sec, peak
-// calendar heap, tombstone ratio, speedup of Incremental over the legacy
-// RescheduleAll baseline). scripts/bench_report.sh uses this to produce
-// BENCH_engine.json; the process exits non-zero if the speedup regresses
-// below 2x.
+// paper's results. The benchmark of record, with run-level metrics and
+// per-layer probes, is perfbench/ (see perfbench/README.md).
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "core/grid.hpp"
 #include "data/storage.hpp"
 #include "net/transfer_manager.hpp"
 #include "sim/engine.hpp"
-#include "sim/profiler.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -149,183 +135,6 @@ void BM_FullSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_FullSimulation)->Arg(6000)->Unit(benchmark::kMillisecond);
 
-// ---------------------------------------------------------------------------
-// --engine-json mode: A/B the reallocation modes on the churn workload.
-
-/// One timed run of the transfer-churn workload under a reallocation mode.
-struct ChurnResult {
-  double wall_s = 0.0;
-  std::uint64_t events_executed = 0;
-  std::uint64_t flows_completed = 0;
-  std::uint64_t event_pushes = 0;
-  std::uint64_t event_cancels = 0;
-  std::uint64_t peak_heap_size = 0;
-  std::uint64_t compactions = 0;
-  std::uint64_t flows_rescheduled = 0;
-  std::uint64_t reschedules_skipped = 0;
-  std::uint64_t rate_recomputes_skipped = 0;
-
-  [[nodiscard]] double events_per_sec() const {
-    return static_cast<double>(events_executed) / wall_s;
-  }
-  [[nodiscard]] double flows_per_sec() const {
-    return static_cast<double>(flows_completed) / wall_s;
-  }
-  [[nodiscard]] double tombstone_ratio() const {
-    return event_pushes == 0
-               ? 0.0
-               : static_cast<double>(event_cancels) / static_cast<double>(event_pushes);
-  }
-};
-
-/// The BM_TransferChurn workload (same topology, seed, and flow mix), run
-/// once per call; every completion reallocates over all remaining flows, so
-/// the legacy mode pays O(flows) calendar cancel+push pairs per completion.
-ChurnResult run_churn_once(net::ReallocationMode mode, std::size_t flows) {
-  sim::Engine engine;
-  net::Topology topo = net::build_hierarchy({30, 6, 10.0});
-  net::Routing routing(topo);
-  net::TransferManager tm(engine, topo, routing, net::SharePolicy::EqualShare, mode);
-  util::Rng rng(3);
-  for (std::size_t i = 0; i < flows; ++i) {
-    auto src = static_cast<net::NodeId>(rng.index(30));
-    net::NodeId dst = src;
-    while (dst == src) dst = static_cast<net::NodeId>(rng.index(30));
-    tm.start(src, dst, rng.uniform(100.0, 2000.0), net::TransferPurpose::JobFetch,
-             [](net::TransferId) {});
-  }
-  // detlint: allow(wall-clock): benchmark harness measures throughput; the simulated run is unaffected
-  auto t0 = std::chrono::steady_clock::now();
-  engine.run();
-  auto t1 = std::chrono::steady_clock::now();
-
-  ChurnResult r;
-  r.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  r.events_executed = engine.events_executed();
-  r.flows_completed = tm.stats().transfers_completed;
-  r.event_pushes = engine.queue().total_pushes();
-  r.event_cancels = engine.queue().total_cancels();
-  r.peak_heap_size = engine.queue().peak_heap_size();
-  r.compactions = engine.queue().compactions();
-  r.flows_rescheduled = tm.stats().flows_rescheduled;
-  r.reschedules_skipped = tm.stats().reschedules_skipped;
-  r.rate_recomputes_skipped = tm.stats().rate_recomputes_skipped;
-  return r;
-}
-
-/// Best-of-N timing (counters are identical across repeats; the run with
-/// the least wall-clock noise wins).
-ChurnResult run_churn(net::ReallocationMode mode, std::size_t flows, int repeats) {
-  ChurnResult best = run_churn_once(mode, flows);
-  for (int i = 1; i < repeats; ++i) {
-    ChurnResult r = run_churn_once(mode, flows);
-    if (r.wall_s < best.wall_s) best = r;
-  }
-  return best;
-}
-
-void write_mode_json(std::ofstream& out, const char* key, const ChurnResult& r,
-                     const char* trailing_comma) {
-  out << "    \"" << key << "\": {\n"
-      << "      \"wall_s\": " << r.wall_s << ",\n"
-      << "      \"events_executed\": " << r.events_executed << ",\n"
-      << "      \"events_per_sec\": " << r.events_per_sec() << ",\n"
-      << "      \"flows_completed\": " << r.flows_completed << ",\n"
-      << "      \"flows_per_sec\": " << r.flows_per_sec() << ",\n"
-      << "      \"event_pushes\": " << r.event_pushes << ",\n"
-      << "      \"event_cancels\": " << r.event_cancels << ",\n"
-      << "      \"tombstone_ratio\": " << r.tombstone_ratio() << ",\n"
-      << "      \"peak_heap_size\": " << r.peak_heap_size << ",\n"
-      << "      \"queue_compactions\": " << r.compactions << ",\n"
-      << "      \"flows_rescheduled\": " << r.flows_rescheduled << ",\n"
-      << "      \"reschedules_skipped\": " << r.reschedules_skipped << ",\n"
-      << "      \"rate_recomputes_skipped\": " << r.rate_recomputes_skipped << "\n"
-      << "    }" << trailing_comma << "\n";
-}
-
-/// One profiled full Table-1 simulation: returns the EngineProfiler's JSON
-/// report (per-event-type handler-time breakdown plus events/sec) for the
-/// "profile" section of BENCH_engine.json.
-std::string run_profiled_simulation() {
-  core::SimulationConfig cfg;
-  cfg.es = core::EsAlgorithm::JobDataPresent;
-  cfg.ds = core::DsAlgorithm::DataLeastLoaded;
-  core::Grid grid(cfg);
-  sim::EngineProfiler profiler;
-  grid.engine().set_profiler(&profiler);
-  grid.run();
-  std::printf("\nprofiled full simulation (%zu jobs, JobDataPresent+DataLeastLoaded):\n%s",
-              cfg.total_jobs, profiler.render_table().c_str());
-  std::ostringstream os;
-  profiler.write_json(os);
-  std::string json = os.str();
-  while (!json.empty() && (json.back() == '\n' || json.back() == ' ')) json.pop_back();
-  return json;
-}
-
-int run_engine_json(const std::string& path) {
-  constexpr std::size_t kFlows = 2048;
-  constexpr int kRepeats = 3;
-  std::printf("transfer-churn A/B (%zu flows, hierarchy 30x6 @ 10 MB/s, best of %d)\n",
-              kFlows, kRepeats);
-
-  ChurnResult legacy = run_churn(net::ReallocationMode::RescheduleAll, kFlows, kRepeats);
-  ChurnResult full = run_churn(net::ReallocationMode::Full, kFlows, kRepeats);
-  ChurnResult incr = run_churn(net::ReallocationMode::Incremental, kFlows, kRepeats);
-
-  auto report = [](const char* name, const ChurnResult& r) {
-    std::printf(
-        "  %-14s %8.3f s  %12.0f events/s  %9.0f flows/s  peak heap %6llu  "
-        "tombstone ratio %.3f\n",
-        name, r.wall_s, r.events_per_sec(), r.flows_per_sec(),
-        static_cast<unsigned long long>(r.peak_heap_size), r.tombstone_ratio());
-  };
-  report("reschedule_all", legacy);
-  report("full", full);
-  report("incremental", incr);
-
-  const double speedup = incr.events_per_sec() / legacy.events_per_sec();
-  const bool pass = speedup >= 2.0;
-  std::printf("incremental vs legacy speedup: %.2fx  [%s] (target: >= 2x)\n", speedup,
-              pass ? "PASS" : "FAIL");
-
-  std::string profile_json = run_profiled_simulation();
-
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write --engine-json file: %s\n", path.c_str());
-    return 1;
-  }
-  out << "{\n"
-      << "  \"benchmark\": \"transfer_churn\",\n"
-      << "  \"flows\": " << kFlows << ",\n"
-      << "  \"repeats\": " << kRepeats << ",\n"
-      << "  \"topology\": {\"sites\": 30, \"sites_per_region\": 6, "
-         "\"bandwidth_mbps\": 10.0},\n"
-      << "  \"modes\": {\n";
-  write_mode_json(out, "reschedule_all", legacy, ",");
-  write_mode_json(out, "full", full, ",");
-  write_mode_json(out, "incremental", incr, "");
-  out << "  },\n"
-      << "  \"profile\": " << profile_json << ",\n"
-      << "  \"speedup_events_per_sec\": " << speedup << ",\n"
-      << "  \"pass_2x\": " << (pass ? "true" : "false") << "\n"
-      << "}\n";
-  std::printf("engine report written to %s\n", path.c_str());
-  return pass ? 0 : 1;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    const std::string prefix = "--engine-json=";
-    if (arg.rfind(prefix, 0) == 0) return run_engine_json(arg.substr(prefix.size()));
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

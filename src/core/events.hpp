@@ -1,11 +1,12 @@
 // Structured event tracing.
 //
 // The Grid emits a typed event at every significant state change — the job
-// lifecycle, data fetches, replication pushes, cache evictions. Observers
-// subscribe before run(); the bundled EventLog observer retains the stream
-// for post-hoc analysis (per-job traces, causality checks in tests, CSV
-// export for external tooling). Tracing is pay-for-what-you-use: with no
-// observers attached the emit path is a null check.
+// lifecycle, data fetches, replication pushes, cache evictions. The stream
+// is the single source of the run-level counters: the Grid's
+// MetricsCollector (core/metrics.hpp) is always the first observer. User
+// observers subscribe before run(); the bundled EventLog observer retains
+// the stream for post-hoc analysis (per-job traces, causality checks in
+// tests, CSV export for external tooling).
 #pragma once
 
 #include <cstdint>
@@ -38,7 +39,9 @@ enum class GridEventType : std::uint8_t {
   SiteFailed,            ///< site_a crashed: compute lost, cache invalidated
   SiteRecovered,         ///< site_a rejoined the grid
   TransferRetried,       ///< fetch of `dataset` to site_b restarted from
-                         ///< site_a (kNoSite = backing off, no live source)
+                         ///< site_a (kNoSite = backing off, no live source).
+                         ///< kNoDataset marks an output-return retry: the
+                         ///< origin site_b is down, site_a is kNoSite
   JobResubmitted,        ///< job re-entered the ES queue after losing its
                          ///< site (site_a = the site it was stranded on)
   CatalogInvalidated,    ///< catalog entry for (dataset, site_a) found to be
@@ -80,12 +83,13 @@ class EventSink {
 };
 
 /// The Grid's event bus: owns the observer list and the clock used to stamp
-/// events. Pay-for-what-you-use: with no observers attached, emit() is a
-/// null check and the clock is never consulted.
+/// events. The Grid attaches its MetricsCollector first, so every emit is
+/// stamped and folded into the run metrics; user observers see the same
+/// events after it, in attach order.
 class EventBus final : public EventSink {
  public:
   /// `clock` supplies the virtual time stamped on every emitted event; it
-  /// must be set before the first observer sees an event.
+  /// must be set before the first emit.
   void set_clock(std::function<util::SimTime()> clock);
 
   /// The observer is non-owning and must outlive every emit.

@@ -190,7 +190,6 @@ void FaultInjector::apply_site_crash(data::SiteIndex s) {
   CHICSIM_ASSERT_MSG(s < sites_.size(), "crash of an unknown site");
   site::Site& site = sites_[s];
   if (!site.alive()) return;  // scripted and stochastic streams may overlap
-  ++stats_.site_crashes;
   logger_.info("site " + std::to_string(s) + " crashed");
   events_.emit(GridEvent{GridEventType::SiteFailed, 0.0, site::kNoJob, data::kNoDataset,
                          s, data::kNoSite, 0.0});
@@ -218,7 +217,6 @@ void FaultInjector::apply_site_recovery(data::SiteIndex s) {
   CHICSIM_ASSERT_MSG(s < sites_.size(), "recovery of an unknown site");
   site::Site& site = sites_[s];
   if (site.alive()) return;
-  ++stats_.site_recoveries;
   logger_.info("site " + std::to_string(s) + " recovered");
   site.set_alive(true);
   events_.emit(GridEvent{GridEventType::SiteRecovered, 0.0, site::kNoJob, data::kNoDataset,
@@ -230,7 +228,6 @@ void FaultInjector::apply_site_recovery(data::SiteIndex s) {
 void FaultInjector::apply_link_scale(net::LinkId link, double scale) {
   CHICSIM_ASSERT_MSG(link < topology_.link_count(), "link id out of range");
   CHICSIM_ASSERT_MSG(scale > 0.0, "bandwidth scale must be positive");
-  ++stats_.link_degradations;
   logger_.info("link " + std::to_string(link) + " bandwidth scaled to " +
                util::format_fixed(scale, 3));
   const net::Link& l = topology_.link(link);
@@ -259,8 +256,7 @@ void FaultInjector::apply_catalog_loss(data::DatasetId dataset) {
   // Every copy is pinned, referenced or on a dead site: the fault misses.
 }
 
-std::uint64_t FaultInjector::reconcile_catalog() {
-  std::uint64_t scrubbed = 0;
+void FaultInjector::reconcile_catalog() {
   for (data::DatasetId d = 0; d < catalog_.size(); ++d) {
     // Copy: remove() mutates the location vector we would be iterating.
     std::vector<data::SiteIndex> holders = replicas_.locations(d);
@@ -270,10 +266,8 @@ std::uint64_t FaultInjector::reconcile_catalog() {
       CHICSIM_ASSERT(removed);
       events_.emit(GridEvent{GridEventType::CatalogInvalidated, 0.0, site::kNoJob, d, h,
                              data::kNoSite, catalog_.size_mb(d)});
-      ++scrubbed;
     }
   }
-  return scrubbed;
 }
 
 }  // namespace chicsim::core

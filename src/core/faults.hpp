@@ -93,11 +93,9 @@ class FaultPlan {
   std::vector<FaultAction> actions_;
 };
 
-/// Counters the injector accumulates over a run.
+/// Injector counters that have no GridEvent of their own. Crashes,
+/// recoveries and link changes are events, counted by the metrics fold.
 struct FaultStats {
-  std::uint64_t site_crashes = 0;
-  std::uint64_t site_recoveries = 0;
-  std::uint64_t link_degradations = 0;  ///< degrade + restore actions applied
   std::uint64_t catalog_corruptions = 0;
   std::uint64_t forced_aborts = 0;      ///< TransferAbort actions that hit a live fetch
 };
@@ -123,11 +121,10 @@ class FaultInjector {
   [[nodiscard]] bool site_alive(data::SiteIndex s) const;
 
   /// Remove replica-catalog entries whose physical copy silently vanished
-  /// (the CatalogEntryLoss stream): emits CatalogInvalidated per lie and
-  /// returns how many were scrubbed. The FetchPlanner reconciles lazily on
-  /// discovery; this sweeps whatever was never looked at, so the end-of-run
-  /// audit sees a truthful catalog.
-  std::uint64_t reconcile_catalog();
+  /// (the CatalogEntryLoss stream), emitting CatalogInvalidated per lie.
+  /// The FetchPlanner reconciles lazily on discovery; this sweeps whatever
+  /// was never looked at, so the end-of-run audit sees a truthful catalog.
+  void reconcile_catalog();
 
  private:
   void apply(const FaultAction& action);

@@ -67,7 +67,6 @@ void FetchPlanner::request_input(site::Job& job, data::DatasetId input) {
   if (source == data::kNoSite) {
     // No live, truthful holder right now (crash-heavy moment): park the
     // fetch and poll with backoff until a replica resurfaces.
-    ++remote_fetches_;
     events_.emit(GridEvent{GridEventType::FetchStarted, 0.0, job.id, input,
                            data::kNoSite, dest, catalog_.size_mb(input)});
     PendingFetch fetch;
@@ -78,7 +77,6 @@ void FetchPlanner::request_input(site::Job& job, data::DatasetId input) {
     return;
   }
   replication_.note_access(input, source, job.origin_site, dest);
-  ++remote_fetches_;
   events_.emit(GridEvent{GridEventType::FetchStarted, 0.0, job.id, input, source, dest,
                          catalog_.size_mb(input)});
   PendingFetch fetch;
@@ -184,7 +182,6 @@ void FetchPlanner::retry_fetch(data::SiteIndex dest, data::DatasetId dataset) {
     return;
   }
 
-  ++transfer_retries_;
   data::SiteIndex source = choose_source(dataset, dest);
   events_.emit(GridEvent{GridEventType::TransferRetried, 0.0,
                          fetch.waiters.empty() ? site::kNoJob : fetch.waiters.front(),
@@ -265,7 +262,6 @@ data::SiteIndex FetchPlanner::choose_source(data::DatasetId dataset, data::SiteI
   for (data::SiteIndex h : lies) {
     bool removed = replicas_.remove(dataset, h);
     CHICSIM_ASSERT(removed);
-    ++catalog_invalidations_;
     events_.emit(GridEvent{GridEventType::CatalogInvalidated, 0.0, site::kNoJob, dataset,
                            h, data::kNoSite, catalog_.size_mb(dataset)});
   }

@@ -75,17 +75,6 @@ class FetchPlanner final {
   /// resets the stranded jobs.
   void on_site_crashed(data::SiteIndex s);
 
-  /// Job-driven transfers started (diagnostic).
-  [[nodiscard]] std::uint64_t remote_fetches() const { return remote_fetches_; }
-
-  /// Retry/failover rounds after failed or sourceless fetches (diagnostic).
-  [[nodiscard]] std::uint64_t transfer_retries() const { return transfer_retries_; }
-
-  /// Catalog lies discovered and reconciled during source selection.
-  [[nodiscard]] std::uint64_t catalog_invalidations() const {
-    return catalog_invalidations_;
-  }
-
   /// Datasets currently being fetched toward `dest` (test seam).
   [[nodiscard]] std::size_t pending_fetches(data::SiteIndex dest) const;
 
@@ -143,10 +132,6 @@ class FetchPlanner final {
   /// Per destination site: datasets currently being fetched there.
   // detlint: order-insensitive: keyed lookups only; crash teardown snapshots the keys and sorts them before acting
   std::vector<std::unordered_map<data::DatasetId, PendingFetch>> pending_fetches_;
-
-  std::uint64_t remote_fetches_ = 0;
-  std::uint64_t transfer_retries_ = 0;
-  std::uint64_t catalog_invalidations_ = 0;
 };
 
 }  // namespace chicsim::core

@@ -59,6 +59,9 @@ void Grid::wire_services() {
   }
 
   bus_.set_clock([this] { return engine_.now(); });
+  // The metrics fold observes first: every run-level count comes from the
+  // event stream, and user observers attached later see the same events.
+  bus_.add_observer(&collector_);
   info_ = std::make_unique<InfoService>(config_, engine_, sites_, catalog_,
                                         *replica_catalog_, topology_, *routing_,
                                         *transfers_, neighbors_);
@@ -70,7 +73,10 @@ void Grid::wire_services() {
                                           *replication_, bus_);
   lifecycle_ = std::make_unique<JobLifecycle>(config_, engine_, logger_, sites_,
                                               *workload_, *transfers_, *fetch_, *info_,
-                                              bus_, collector_, [this] { finish_run(); });
+                                              bus_, [this] { finish_run(); });
+  collector_.bind_jobs([this](site::JobId id) -> const site::Job& {
+    return lifecycle_->job(id);
+  });
   fetch_->bind_jobs(*lifecycle_);
   replication_->bind_jobs(*lifecycle_);
   injector_ = std::make_unique<FaultInjector>(config_, engine_, logger_, sites_, catalog_,
@@ -174,17 +180,10 @@ void Grid::finish_run() {
   for (auto& site : sites_) site.compute().settle(makespan);
   replication_->stop();
   // Scrub replica-catalog lies the run never tripped over (silent
-  // corruption stream) before anything audits or reports the catalog.
-  std::uint64_t scrubbed = injector_->reconcile_catalog();
+  // corruption stream) before anything audits or reports the catalog; its
+  // CatalogInvalidated events reach the fold before finalize().
+  injector_->reconcile_catalog();
   metrics_ = collector_.finalize(makespan, sites_, *transfers_);
-  metrics_.remote_fetches = fetch_->remote_fetches();
-  metrics_.replications = replication_->replications_started();
-  metrics_.site_crashes = injector_->stats().site_crashes;
-  metrics_.site_recoveries = injector_->stats().site_recoveries;
-  metrics_.jobs_resubmitted = lifecycle_->jobs_resubmitted();
-  metrics_.transfer_retries = fetch_->transfer_retries();
-  metrics_.output_retries = lifecycle_->output_retries();
-  metrics_.catalog_invalidations = fetch_->catalog_invalidations() + scrubbed;
   metrics_.events_executed = engine_.events_executed();
   metrics_.event_pushes = engine_.queue().total_pushes();
   metrics_.event_cancels = engine_.queue().total_cancels();

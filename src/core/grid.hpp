@@ -17,7 +17,7 @@
 //
 // Services communicate through narrow seams (GridView, JobRunner, the
 // EventBus); the Grid itself only composes them, routes the public API and
-// assembles the final metrics.
+// attaches the MetricsCollector that folds the event stream into RunMetrics.
 #pragma once
 
 #include <memory>
@@ -84,8 +84,8 @@ class Grid final {
   /// Must be called before run().
   void add_fault_plan(const FaultPlan& plan);
 
-  /// Fault/recovery counters of the injector (valid anytime; zeros when
-  /// nothing was injected).
+  /// Injector counters with no event of their own (valid anytime; zeros
+  /// when nothing was injected). Crashes and recoveries are in metrics().
   [[nodiscard]] const FaultStats& fault_stats() const;
 
   /// Execute until every job has completed. Callable once.
@@ -123,11 +123,6 @@ class Grid final {
   [[nodiscard]] const SimulationConfig& config() const { return config_; }
   [[nodiscard]] util::Logger& logger() { return logger_; }
   [[nodiscard]] bool finished() const { return finished_; }
-
-  /// Total replication pushes started (diagnostic).
-  [[nodiscard]] std::uint64_t replications_started() const {
-    return replication_->replications_started();
-  }
 
  private:
   void build_world();

@@ -13,7 +13,7 @@ JobLifecycle::JobLifecycle(const SimulationConfig& config, sim::Engine& engine,
                            const workload::Workload& workload,
                            net::TransferManager& transfers, FetchPlanner& fetch,
                            const GridView& view, EventSink& events,
-                           MetricsCollector& collector, std::function<void()> on_all_complete)
+                           std::function<void()> on_all_complete)
     : config_(config),
       engine_(engine),
       logger_(logger),
@@ -23,7 +23,6 @@ JobLifecycle::JobLifecycle(const SimulationConfig& config, sim::Engine& engine,
       fetch_(fetch),
       view_(view),
       events_(events),
-      collector_(collector),
       on_all_complete_(std::move(on_all_complete)),
       es_(make_external_scheduler(config.es)),
       ls_(make_local_scheduler(config.ls)),
@@ -152,7 +151,6 @@ void JobLifecycle::resubmit_with_backoff(site::Job& job, data::SiteIndex strande
                      "only submitted jobs can be resubmitted");
   ++job.resubmissions;
   ++job.reschedule_generation;
-  ++jobs_resubmitted_;
   if (job.resubmissions > config_.max_job_resubmissions) {
     throw util::SimError(job.describe() + " exceeded max_job_resubmissions (" +
                          std::to_string(config_.max_job_resubmissions) +
@@ -258,7 +256,6 @@ void JobLifecycle::start_output_return(site::JobId id, util::Megabytes output_mb
     // is resubmitted wholesale and the pending retry below goes stale —
     // the resubmission-generation guard drops it.
     ++job.output_retries;
-    ++output_retries_total_;
     if (job.output_retries > config_.max_job_resubmissions) {
       throw util::SimError(job.describe() +
                            " could not return its output: origin site down past " +
@@ -339,8 +336,6 @@ void JobLifecycle::finalize_job(site::JobId id) {
   job.finish_time = engine_.now();
   events_.emit(GridEvent{GridEventType::JobCompleted, 0.0, id, data::kNoDataset,
                          job.exec_site, job.origin_site, 0.0});
-
-  collector_.record_job(job);
   ++completed_jobs_;
 
   // Closed loop: the user submits its next job now.

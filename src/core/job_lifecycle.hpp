@@ -9,8 +9,8 @@
 //                         starts fetches for missing inputs IMMEDIATELY
 //   data ready + CE    -> Local Scheduler starts the job; it runs for
 //                         runtime_s on one compute element
-//   completion         -> metrics recorded; the job's user submits its next
-//                         job (closed loop)
+//   completion         -> JobCompleted (the metrics fold records it); the
+//                         job's user submits its next job (closed loop)
 //
 // The ES observes the world only through the information service; this
 // service owns the job table and drives the machinery.
@@ -23,7 +23,6 @@
 
 #include "core/config.hpp"
 #include "core/events.hpp"
-#include "core/metrics.hpp"
 #include "core/scheduler.hpp"
 #include "core/service_interfaces.hpp"
 #include "net/transfer_manager.hpp"
@@ -46,8 +45,7 @@ class JobLifecycle final : public JobRunner {
   JobLifecycle(const SimulationConfig& config, sim::Engine& engine, util::Logger& logger,
                std::vector<site::Site>& sites, const workload::Workload& workload,
                net::TransferManager& transfers, FetchPlanner& fetch, const GridView& view,
-               EventSink& events, MetricsCollector& collector,
-               std::function<void()> on_all_complete);
+               EventSink& events, std::function<void()> on_all_complete);
 
   void set_external_scheduler(std::unique_ptr<ExternalScheduler> es);
   void set_local_scheduler(std::unique_ptr<LocalScheduler> ls);
@@ -80,12 +78,6 @@ class JobLifecycle final : public JobRunner {
   /// the storage wipe, so the ES decides against the post-crash world.
   void on_site_crashed(data::SiteIndex s);
 
-  /// Jobs re-queued after a crash or a dead-site placement (diagnostic).
-  [[nodiscard]] std::uint64_t jobs_resubmitted() const { return jobs_resubmitted_; }
-
-  /// Output-return transfers deferred because the origin was down.
-  [[nodiscard]] std::uint64_t output_retries() const { return output_retries_total_; }
-
  private:
   struct User {
     site::UserId id = 0;
@@ -104,8 +96,8 @@ class JobLifecycle final : public JobRunner {
   void on_compute_complete(site::JobId id);
   /// Start (or, origin down, defer with backoff) the output-return leg.
   void start_output_return(site::JobId id, util::Megabytes output_mb);
-  /// The job is fully done (output landed, if any): record and continue
-  /// the user's closed loop.
+  /// The job is fully done (output landed, if any): announce it and
+  /// continue the user's closed loop.
   void finalize_job(site::JobId id);
   /// Put a Submitted job back in front of the ES after a capped
   /// exponential backoff; `stranded_site` is the site that failed it.
@@ -121,7 +113,6 @@ class JobLifecycle final : public JobRunner {
   FetchPlanner& fetch_;
   const GridView& view_;
   EventSink& events_;
-  MetricsCollector& collector_;
   std::function<void()> on_all_complete_;
 
   std::unique_ptr<ExternalScheduler> es_;
@@ -143,8 +134,6 @@ class JobLifecycle final : public JobRunner {
   bool central_busy_ = false;
 
   std::uint64_t completed_jobs_ = 0;
-  std::uint64_t jobs_resubmitted_ = 0;
-  std::uint64_t output_retries_total_ = 0;
 };
 
 }  // namespace chicsim::core

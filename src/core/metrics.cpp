@@ -6,6 +6,30 @@
 
 namespace chicsim::core {
 
+void MetricsCollector::on_event(const GridEvent& e) {
+  switch (e.type) {
+    case GridEventType::JobCompleted:
+      CHICSIM_ASSERT_MSG(job_lookup_, "metrics collector has no job table");
+      record_job(job_lookup_(e.job));
+      break;
+    case GridEventType::FetchStarted: ++counts_.remote_fetches; break;
+    case GridEventType::ReplicationStarted: ++counts_.replications; break;
+    case GridEventType::SiteFailed: ++counts_.site_crashes; break;
+    case GridEventType::SiteRecovered: ++counts_.site_recoveries; break;
+    case GridEventType::JobResubmitted: ++counts_.jobs_resubmitted; break;
+    case GridEventType::TransferRetried:
+      // No dataset marks an output-return retry (see GridEventType).
+      if (e.dataset == data::kNoDataset) {
+        ++counts_.output_retries;
+      } else {
+        ++counts_.transfer_retries;
+      }
+      break;
+    case GridEventType::CatalogInvalidated: ++counts_.catalog_invalidations; break;
+    default: break;
+  }
+}
+
 void MetricsCollector::record_job(const site::Job& job) {
   CHICSIM_ASSERT_MSG(job.state == site::JobState::Completed, "recording unfinished job");
   CHICSIM_ASSERT_MSG(job.submit_time >= 0.0 && job.finish_time >= job.submit_time,
@@ -17,13 +41,13 @@ void MetricsCollector::record_job(const site::Job& job) {
   compute_.add(job.compute_done_time - job.start_time);
   output_wait_.add(job.finish_time - job.compute_done_time);
   response_p95_.add(job.response_time());
-  if (job.exec_site == job.origin_site) ++jobs_at_origin_;
+  if (job.exec_site == job.origin_site) ++counts_.jobs_run_at_origin;
 }
 
 RunMetrics MetricsCollector::finalize(util::SimTime makespan,
                                       const std::vector<site::Site>& sites,
                                       const net::TransferManager& transfers) const {
-  RunMetrics m;
+  RunMetrics m = counts_;
   m.jobs_completed = response_.count();
   m.makespan_s = makespan;
   m.avg_response_time_s = response_.mean();
@@ -34,7 +58,6 @@ RunMetrics MetricsCollector::finalize(util::SimTime makespan,
   m.avg_data_wait_s = data_wait_.mean();
   m.avg_compute_s = compute_.mean();
   m.avg_output_wait_s = output_wait_.mean();
-  m.jobs_run_at_origin = jobs_at_origin_;
 
   const net::TransferStats& ts = transfers.stats();
   double jobs = m.jobs_completed > 0 ? static_cast<double>(m.jobs_completed) : 1.0;

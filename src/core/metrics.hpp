@@ -5,14 +5,18 @@
 //  (max(queue time, data transfer time) + compute time); average idle time
 //  for a processor."
 //
-// MetricsCollector accumulates per-job records during a run; finalize()
-// folds in the run-level counters (network totals, processor busy
-// integrals, storage statistics) once the last job completes.
+// MetricsCollector is the fold over the GridEvent stream that the Grid
+// attaches ahead of every user observer: the one place per-job timings and
+// run-level event counts are kept. finalize() adds the substrate integrals
+// (network totals, processor busy time, storage statistics) once the last
+// job completes. docs/metrics.md gives the source of every field.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "core/events.hpp"
 #include "net/transfer_manager.hpp"
 #include "site/job.hpp"
 #include "site/site.hpp"
@@ -89,13 +93,23 @@ struct RunMetrics {
   std::uint64_t rate_recomputes_skipped = 0;  ///< flow crossed no dirty link
 };
 
-class MetricsCollector {
+class MetricsCollector final : public GridObserver {
  public:
+  using JobLookup = std::function<const site::Job&(site::JobId)>;
+
+  /// Where on_event() finds the job a JobCompleted event names; must be
+  /// bound before the first JobCompleted arrives.
+  void bind_jobs(JobLookup lookup) { job_lookup_ = std::move(lookup); }
+
+  /// Records the job on JobCompleted; counts the run-level events.
+  void on_event(const GridEvent& event) override;
+
   /// Record one completed job (all timestamps must be final).
   void record_job(const site::Job& job);
 
-  /// Fold in run-level state. `sites` supplies busy integrals (pools must
-  /// be settled to `makespan`), `transfers` the network totals.
+  /// The counters folded so far plus run-level state. `sites` supplies
+  /// busy integrals (pools must be settled to `makespan`), `transfers` the
+  /// network totals.
   [[nodiscard]] RunMetrics finalize(util::SimTime makespan,
                                     const std::vector<site::Site>& sites,
                                     const net::TransferManager& transfers) const;
@@ -103,6 +117,8 @@ class MetricsCollector {
   [[nodiscard]] std::uint64_t jobs_recorded() const { return response_.count(); }
 
  private:
+  JobLookup job_lookup_;
+  RunMetrics counts_;  ///< event counters; finalize() starts from a copy
   util::OnlineStats response_;
   util::OnlineStats placement_wait_;
   util::OnlineStats queue_wait_;
@@ -114,7 +130,6 @@ class MetricsCollector {
   /// estimate follows the P2Quantile accuracy contract (~2% relative error
   /// at n >= 100; exact below six samples), asserted by test_metrics.
   util::P2Quantile response_p95_{0.95};
-  std::uint64_t jobs_at_origin_ = 0;
 };
 
 }  // namespace chicsim::core

@@ -159,7 +159,6 @@ void ReplicationDriver::start_replication(data::SiteIndex from, data::DatasetId 
   if (pending_pushes_.count(key) > 0) return;
   pending_pushes_.emplace(key, PushRecord{from, dataset, dest, net::kNoTransfer});
   ++inbound_pushes_[dest];
-  ++replications_started_;
   events_.emit(GridEvent{GridEventType::ReplicationStarted, 0.0, site::kNoJob, dataset,
                          from, dest, catalog_.size_mb(dataset)});
   sites_[from].storage().acquire(dataset);

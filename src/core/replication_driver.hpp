@@ -81,11 +81,6 @@ class ReplicationDriver final {
   data::StorageManager::AddOutcome store_replica(data::SiteIndex s,
                                                  data::DatasetId dataset);
 
-  /// Total replication pushes started (diagnostic).
-  [[nodiscard]] std::uint64_t replications_started() const {
-    return replications_started_;
-  }
-
   /// Replication pushes currently in flight toward `site` (from anywhere).
   [[nodiscard]] std::size_t inbound_replications(data::SiteIndex site) const;
 
@@ -129,8 +124,6 @@ class ReplicationDriver final {
   std::vector<std::unordered_map<data::DatasetId,
                                  std::unordered_map<data::SiteIndex, std::uint64_t>>>
       requester_counts_;
-
-  std::uint64_t replications_started_ = 0;
 };
 
 }  // namespace chicsim::core

@@ -105,7 +105,12 @@ void SiteMetricsObserver::on_event(const GridEvent& e) {
       break;
     case GridEventType::TransferRetried: {
       // Count the retry against the destination; a failover that found a
-      // new source also puts fresh bytes on the wire.
+      // new source also puts fresh bytes on the wire. No dataset marks an
+      // output return held because its origin (site_b) is down.
+      if (e.dataset == data::kNoDataset) {
+        registry_.counter("output_retries", site_dim(e.site_b)).add();
+        break;
+      }
       registry_.counter("transfer_retries", site_dim(e.site_b)).add();
       if (e.site_a != data::kNoSite) count_link_traffic(e.site_a, e.site_b, e.mb);
       break;

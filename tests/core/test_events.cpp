@@ -152,9 +152,9 @@ TEST(Events, CsvRoundTripsThroughParser) {
   EXPECT_EQ(table.column_index("type"), 1u);
 }
 
-TEST(Events, NoObserversMeansNoOverheadPath) {
-  // Smoke: a run without observers behaves identically (determinism check
-  // against an observed run of the same seed).
+TEST(Events, UserObserversDoNotPerturbResults) {
+  // A run with only the built-in metrics fold behaves identically to one
+  // with a user observer attached (determinism check, same seed).
   SimulationConfig cfg = traced_config();
   Grid plain(cfg);
   plain.run();

@@ -91,7 +91,7 @@ TEST(Faults, EmptyPlanIsBitIdenticalAcrossTheFullMatrix) {
       with_plan.run();
 
       expect_identical_runs(plain.metrics(), with_plan.metrics());
-      EXPECT_EQ(with_plan.fault_stats().site_crashes, 0u);
+      EXPECT_EQ(with_plan.metrics().site_crashes, 0u);
       EXPECT_EQ(plain.metrics().site_crashes, 0u);
     }
   }
@@ -139,8 +139,8 @@ TEST(Faults, CrashDuringComputeResubmitsAndCompletesEverything) {
   grid.run();
 
   EXPECT_EQ(grid.metrics().jobs_completed, cfg.total_jobs);
-  EXPECT_EQ(grid.fault_stats().site_crashes, 2u);
-  EXPECT_EQ(grid.fault_stats().site_recoveries, 2u);
+  EXPECT_EQ(grid.metrics().site_crashes, 2u);
+  EXPECT_EQ(grid.metrics().site_recoveries, 2u);
   EXPECT_GT(grid.metrics().jobs_resubmitted, 0u);
   audit_grid(grid);  // dead-site and catalog invariants all hold
 }
@@ -293,7 +293,7 @@ TEST(Faults, ResubmissionBudgetBoundsConsecutiveFailuresNotLifetime) {
   grid.run();
 
   EXPECT_EQ(grid.metrics().jobs_completed, cfg.total_jobs);
-  EXPECT_EQ(grid.fault_stats().site_crashes, 7u);
+  EXPECT_EQ(grid.metrics().site_crashes, 7u);
   // The lifetime total across site-1 jobs dwarfs the per-episode budget —
   // the scenario the old accumulate-forever counter rejected.
   EXPECT_GT(grid.metrics().jobs_resubmitted,

@@ -1,6 +1,7 @@
 // End-to-end checks of the observability stack: event-stream causality
 // across the policy matrix, span reconciliation against RunMetrics, the
-// per-site metric registry, and the Chrome trace JSON schema.
+// folded run counters against raw events and the per-site metric registry,
+// and the Chrome trace JSON schema.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -203,6 +204,65 @@ TEST(Observability, SiteMetricsAccountForEveryJob) {
   site_metrics.registry().write_json(out);
   util::JsonValue doc = util::parse_json(out.str());
   EXPECT_GT(doc.at("metrics").size(), 0u);
+}
+
+TEST(Observability, FoldedCountersReconcileWithEventsAndSiteMetrics) {
+  // Each run-level counter is counted once, by the metrics fold over the
+  // event stream. A faulty run with output returns exercises all eight:
+  // the RunMetrics value, the raw event count and the per-site partition
+  // must agree.
+  SimulationConfig cfg = obs_config();
+  cfg.es = EsAlgorithm::JobRandom;  // remote placements: fetches + output legs
+  cfg.output_fraction = 0.5;
+  cfg.fault_site_crash_rate_per_hour = 1.0;
+  cfg.fault_site_downtime_s = 300.0;  // inside the output-retry budget
+  cfg.fault_transfer_fail_prob = 0.1;
+  cfg.fault_catalog_loss_rate_per_hour = 10.0;
+  Grid grid(cfg);
+  EventLog log;
+  SiteMetricsObserver site_metrics(grid.topology(), &grid.routing());
+  grid.add_observer(&log);
+  grid.add_observer(&site_metrics);
+  grid.run();
+  const RunMetrics& m = grid.metrics();
+
+  // Output-return retries are the TransferRetried events without a dataset.
+  std::uint64_t output_retry_events = 0;
+  for (const GridEvent& e : log.events()) {
+    if (e.type == GridEventType::TransferRetried && e.dataset == data::kNoDataset) {
+      ++output_retry_events;
+    }
+  }
+  const std::uint64_t fetch_retry_events =
+      log.count(GridEventType::TransferRetried) - output_retry_events;
+
+  struct Folded {
+    const char* site_counter;
+    std::uint64_t run_value;
+    std::uint64_t event_count;
+  };
+  const Folded folded[] = {
+      {"fetches_started", m.remote_fetches, log.count(GridEventType::FetchStarted)},
+      {"replications_in", m.replications, log.count(GridEventType::ReplicationStarted)},
+      {"site_crashes", m.site_crashes, log.count(GridEventType::SiteFailed)},
+      {"site_recoveries", m.site_recoveries, log.count(GridEventType::SiteRecovered)},
+      {"jobs_resubmitted", m.jobs_resubmitted, log.count(GridEventType::JobResubmitted)},
+      {"transfer_retries", m.transfer_retries, fetch_retry_events},
+      {"output_retries", m.output_retries, output_retry_events},
+      {"catalog_invalidations", m.catalog_invalidations,
+       log.count(GridEventType::CatalogInvalidated)},
+  };
+  for (const Folded& f : folded) {
+    SCOPED_TRACE(f.site_counter);
+    std::uint64_t per_site = 0;
+    for (std::size_t s = 0; s < grid.site_count(); ++s) {
+      std::string dim = "site=" + grid.topology().node(static_cast<net::NodeId>(s)).name;
+      per_site += site_metrics.registry().counter(f.site_counter, dim).value;
+    }
+    EXPECT_GT(f.run_value, 0u);  // the scenario must exercise every counter
+    EXPECT_EQ(f.run_value, f.event_count);
+    EXPECT_EQ(f.run_value, per_site);
+  }
 }
 
 TEST(Observability, ChromeTraceIsSchemaValidJson) {

@@ -41,6 +41,8 @@ TEST(FetchPlanner, PendingFetchesStartEmptyAndDrainByTheEnd) {
   SimulationConfig cfg = service_config();
   cfg.es = EsAlgorithm::JobRandom;  // guarantees remote placement
   Grid grid(cfg);
+  EventLog log;
+  grid.add_observer(&log);
   for (data::SiteIndex s = 0; s < grid.site_count(); ++s) {
     EXPECT_EQ(grid.fetch_planner().pending_fetches(s), 0u);
   }
@@ -48,8 +50,8 @@ TEST(FetchPlanner, PendingFetchesStartEmptyAndDrainByTheEnd) {
   for (data::SiteIndex s = 0; s < grid.site_count(); ++s) {
     EXPECT_EQ(grid.fetch_planner().pending_fetches(s), 0u);
   }
-  EXPECT_GT(grid.fetch_planner().remote_fetches(), 0u);
-  EXPECT_EQ(grid.fetch_planner().remote_fetches(), grid.metrics().remote_fetches);
+  EXPECT_GT(log.count(GridEventType::FetchStarted), 0u);
+  EXPECT_EQ(log.count(GridEventType::FetchStarted), grid.metrics().remote_fetches);
 }
 
 // --- ReplicationDriver ---
@@ -74,15 +76,17 @@ TEST(ReplicationDriver, StartReplicationSkipsPointlessPushes) {
   data::DatasetId d = 0;
   data::SiteIndex holder = grid.replicas().locations(d).front();
   auto other = static_cast<data::SiteIndex>((holder + 1) % grid.site_count());
+  EventLog log;
+  grid.add_observer(&log);
   // To itself, from a non-holder, and toward an existing holder: all no-ops.
   grid.replication().start_replication(holder, d, holder);
   grid.replication().start_replication(other, d, holder);
   grid.replication().start_replication(holder, d, holder);
-  EXPECT_EQ(grid.replications_started(), 0u);
+  EXPECT_EQ(log.count(GridEventType::ReplicationStarted), 0u);
   // A real push counts once; the duplicate is coalesced while in flight.
   grid.replication().start_replication(holder, d, other);
   grid.replication().start_replication(holder, d, other);
-  EXPECT_EQ(grid.replications_started(), 1u);
+  EXPECT_EQ(log.count(GridEventType::ReplicationStarted), 1u);
   EXPECT_EQ(grid.replication().inbound_replications(other), 1u);
 }
 
