@@ -1,5 +1,7 @@
 #include "core/config.hpp"
 
+#include <set>
+
 #include "util/error.hpp"
 #include "util/string_util.hpp"
 
@@ -59,13 +61,22 @@ void SimulationConfig::validate() const {
 }
 
 void SimulationConfig::apply(const util::ConfigFile& file) {
+  // Every key read is recorded, so a misspelt key is an error instead of a
+  // silently ignored line.
+  std::set<std::string> consumed;
+  auto get = [&](const char* key) {
+    consumed.insert(key);
+    return file.get(key);
+  };
   auto geti = [&](const char* key, std::size_t& field) {
+    consumed.insert(key);
     if (auto v = file.get_int(key)) {
       if (*v < 0) throw util::SimError(std::string("config: ") + key + " must be >= 0");
       field = static_cast<std::size_t>(*v);
     }
   };
   auto getd = [&](const char* key, double& field) {
+    consumed.insert(key);
     if (auto v = file.get_double(key)) field = *v;
   };
   geti("num_users", num_users);
@@ -90,23 +101,23 @@ void SimulationConfig::apply(const util::ConfigFile& file) {
   getd("popularity_half_life_s", popularity_half_life_s);
   getd("info_staleness_s", info_staleness_s);
   geti("num_regions", num_regions);
-  if (auto v = file.get("topology")) topology = topology_kind_from_string(*v);
-  if (auto v = file.get("es_mapping")) es_mapping = es_mapping_from_string(*v);
+  if (auto v = get("topology")) topology = topology_kind_from_string(*v);
+  if (auto v = get("es_mapping")) es_mapping = es_mapping_from_string(*v);
   getd("central_decision_overhead_s", central_decision_overhead_s);
-  if (auto v = file.get("submission_mode")) {
+  if (auto v = get("submission_mode")) {
     submission_mode = submission_mode_from_string(*v);
   }
   getd("arrival_interval_s", arrival_interval_s);
-  if (auto v = file.get("es")) es = es_from_string(*v);
-  if (auto v = file.get("ds")) ds = ds_from_string(*v);
-  if (auto v = file.get("ls")) ls = ls_from_string(*v);
-  if (auto v = file.get("replica_selection")) {
+  if (auto v = get("es")) es = es_from_string(*v);
+  if (auto v = get("ds")) ds = ds_from_string(*v);
+  if (auto v = get("ls")) ls = ls_from_string(*v);
+  if (auto v = get("replica_selection")) {
     replica_selection = replica_selection_from_string(*v);
   }
-  if (auto v = file.get("ds_neighbor_scope")) {
+  if (auto v = get("ds_neighbor_scope")) {
     ds_neighbor_scope = neighbor_scope_from_string(*v);
   }
-  if (auto v = file.get("share_policy")) {
+  if (auto v = get("share_policy")) {
     std::string p = util::to_lower(*v);
     if (p == "equalshare") {
       share_policy = net::SharePolicy::EqualShare;
@@ -116,18 +127,6 @@ void SimulationConfig::apply(const util::ConfigFile& file) {
       share_policy = net::SharePolicy::NoContention;
     } else {
       throw util::SimError("config: unknown share_policy: " + *v);
-    }
-  }
-  if (auto v = file.get("realloc_mode")) {
-    std::string p = util::to_lower(*v);
-    if (p == "rescheduleall") {
-      realloc_mode = net::ReallocationMode::RescheduleAll;
-    } else if (p == "full") {
-      realloc_mode = net::ReallocationMode::Full;
-    } else if (p == "incremental") {
-      realloc_mode = net::ReallocationMode::Incremental;
-    } else {
-      throw util::SimError("config: unknown realloc_mode: " + *v);
     }
   }
   getd("fault_site_crash_rate_per_hour", fault_site_crash_rate_per_hour);
@@ -140,7 +139,11 @@ void SimulationConfig::apply(const util::ConfigFile& file) {
   geti("fetch_max_retries", fetch_max_retries);
   getd("resubmit_backoff_s", resubmit_backoff_s);
   geti("max_job_resubmissions", max_job_resubmissions);
+  consumed.insert("seed");
   if (auto v = file.get_int("seed")) seed = static_cast<std::uint64_t>(*v);
+  for (const std::string& key : file.keys()) {
+    if (consumed.count(key) == 0) throw util::SimError("config: unknown key: " + key);
+  }
 }
 
 std::string SimulationConfig::describe() const {
@@ -188,10 +191,6 @@ std::string SimulationConfig::describe() const {
   line("share_policy", share_policy == net::SharePolicy::EqualShare   ? "EqualShare"
                        : share_policy == net::SharePolicy::MaxMin     ? "MaxMin"
                                                                       : "NoContention");
-  line("realloc_mode",
-       realloc_mode == net::ReallocationMode::RescheduleAll ? "RescheduleAll"
-       : realloc_mode == net::ReallocationMode::Full        ? "Full"
-                                                            : "Incremental");
   if (faults_enabled()) {
     line("fault_site_crash_rate_per_hour",
          util::format_fixed(fault_site_crash_rate_per_hour, 3));

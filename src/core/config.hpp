@@ -88,10 +88,6 @@ struct SimulationConfig {
   ReplicaSelection replica_selection = ReplicaSelection::Closest;
   NeighborScope ds_neighbor_scope = NeighborScope::Grid;
   net::SharePolicy share_policy = net::SharePolicy::EqualShare;
-  /// How the TransferManager turns rate changes into calendar updates (see
-  /// net::ReallocationMode). Incremental and Full are bit-identical;
-  /// RescheduleAll is the pre-optimization behaviour kept as a baseline.
-  net::ReallocationMode realloc_mode = net::ReallocationMode::Incremental;
 
   // --- fault injection and recovery (docs/robustness.md) ---
   /// Stochastic FaultPlan generation (seeded from `seed`, substream

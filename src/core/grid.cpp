@@ -40,8 +40,7 @@ void Grid::build_world() {
   topology_ = build_topology(config_);
   routing_ = std::make_unique<net::Routing>(topology_);
   transfers_ = std::make_unique<net::TransferManager>(engine_, topology_, *routing_,
-                                                      config_.share_policy,
-                                                      config_.realloc_mode);
+                                                      config_.share_policy);
   sites_ = build_sites(config_);
   neighbors_ = build_neighbor_lists(config_);
   catalog_ = build_catalog(config_);
@@ -193,8 +192,6 @@ void Grid::finish_run() {
   metrics_.transfers_aborted = ts.transfers_aborted;
   metrics_.reallocations = ts.reallocations;
   metrics_.flows_rescheduled = ts.flows_rescheduled;
-  metrics_.reschedules_skipped = ts.reschedules_skipped;
-  metrics_.rate_recomputes_skipped = ts.rate_recomputes_skipped;
   engine_.stop();
 }
 

@@ -76,21 +76,16 @@ struct RunMetrics {
   std::uint64_t catalog_invalidations = 0; ///< replica-catalog lies reconciled
 
   // Engine / network hot-path counters (perf diagnostics, docs/metrics.md).
-  // The calendar traffic (events, pushes, cancels, heap shape) and
-  // flows_rescheduled are identical between the Full and Incremental
-  // reallocation modes. The two skip counters split differently by mode —
-  // a flow Incremental skips at the dirty-link check never reaches the
-  // unchanged-rate check — but their sum is conserved (asserted by the
-  // A/B equivalence test).
+  // They describe how the simulator did its work, not what it simulated:
+  // an optimisation may change them while every field above stays
+  // bit-identical.
   std::uint64_t events_executed = 0;
   std::uint64_t event_pushes = 0;       ///< calendar inserts over the run
   std::uint64_t event_cancels = 0;      ///< calendar cancels over the run
   std::uint64_t peak_heap_size = 0;     ///< largest physical calendar heap
   std::uint64_t queue_compactions = 0;  ///< tombstone compactions performed
   std::uint64_t reallocations = 0;          ///< TransferManager::reallocate calls
-  std::uint64_t flows_rescheduled = 0;      ///< completion events cancel+pushed
-  std::uint64_t reschedules_skipped = 0;    ///< rate unchanged: event kept
-  std::uint64_t rate_recomputes_skipped = 0;  ///< flow crossed no dirty link
+  std::uint64_t flows_rescheduled = 0;      ///< ETAs re-derived because the rate changed
 };
 
 class MetricsCollector final : public GridObserver {

@@ -38,9 +38,7 @@ std::string render_run_summary(const RunMetrics& m) {
        std::to_string(m.peak_heap_size) + " (" + std::to_string(m.queue_compactions) +
            " compactions)");
   line("reallocations", std::to_string(m.reallocations) + " (rescheduled " +
-                            std::to_string(m.flows_rescheduled) + ", kept " +
-                            std::to_string(m.reschedules_skipped) + ", rate-skip " +
-                            std::to_string(m.rate_recomputes_skipped) + ")");
+                            std::to_string(m.flows_rescheduled) + ")");
   // Fault/recovery block only when something actually went wrong; a
   // fault-free run's summary is byte-identical to pre-fault builds.
   if (m.site_crashes + m.transfer_retries + m.jobs_resubmitted + m.output_retries +

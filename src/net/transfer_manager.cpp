@@ -15,8 +15,7 @@ constexpr util::Megabytes kResidualTolMb = 1e-3;
 }  // namespace
 
 TransferManager::TransferManager(sim::Engine& engine, const Topology& topo,
-                                 const Routing& routing, SharePolicy policy,
-                                 ReallocationMode mode)
+                                 const Routing& routing, SharePolicy policy)
     : engine_(engine),
       topo_(topo),
       routing_(routing),
@@ -25,13 +24,7 @@ TransferManager::TransferManager(sim::Engine& engine, const Topology& topo,
       link_busy_time_(topo.link_count(), 0.0),
       link_scale_(topo.link_count(), 1.0),
       link_dirty_(topo.link_count(), 0),
-      last_settle_(engine.now()),
-      mode_(mode) {}
-
-void TransferManager::set_reschedule_tolerance(double tol) {
-  CHICSIM_ASSERT_MSG(tol >= 0.0, "reschedule tolerance must be non-negative");
-  reschedule_tolerance_ = tol;
-}
+      last_settle_(engine.now()) {}
 
 void TransferManager::mark_link_dirty(LinkId link) {
   if (link_dirty_[link]) return;
@@ -81,13 +74,14 @@ TransferId TransferManager::start(NodeId src, NodeId dst, util::Megabytes size_m
     flow.dst = dst;
     flow.size_mb = size_mb;
     flow.remaining_mb = 0.0;
+    flow.eta = engine_.now();
+    flow.eta_seq = next_eta_seq_++;
     flow.purpose = purpose;
     flow.on_complete = std::move(on_complete);
     flow.path = nullptr;
-    flow.completion_event =
-        engine_.schedule_in(0.0, "transfer_completion", [this, id] { on_completion_event(id); });
     CHICSIM_ASSERT(flows_.empty() || flows_.back().first < id);  // keeps the vector sorted
     flows_.emplace_back(id, std::move(flow));
+    arm();
     return id;
   }
 
@@ -132,7 +126,6 @@ void TransferManager::abort(TransferId id) {
   settle();
   Flow flow = std::move(it->second);
   flows_.erase(it);
-  if (flow.completion_event != sim::kNoEvent) (void)engine_.cancel(flow.completion_event);
   if (flow.path != nullptr) {
     for (LinkId l : *flow.path) {
       CHICSIM_ASSERT(link_flow_count_[l] > 0);
@@ -140,6 +133,8 @@ void TransferManager::abort(TransferId id) {
       mark_link_dirty(l);
     }
     reallocate();
+  } else {
+    arm();
   }
   ++stats_.transfers_aborted;
 }
@@ -192,8 +187,8 @@ void TransferManager::reallocate() {
 
   if (policy_ == SharePolicy::MaxMin) {
     // Progressive filling is inherently global (freezing one flow shifts
-    // slack to every other), so all rates are recomputed regardless of
-    // mode; the calendar still only sees flows whose rate moved.
+    // slack to every other), so all rates are recomputed; only flows whose
+    // rate moved get a new ETA.
     old_rate_scratch_.clear();
     for (auto& [id, f] : flows_) {
       if (f.path != nullptr) old_rate_scratch_.push_back(f.rate);
@@ -202,54 +197,44 @@ void TransferManager::reallocate() {
     std::size_t i = 0;
     for (auto& [id, f] : flows_) {
       if (f.path == nullptr) continue;
-      update_completion_event(id, f, old_rate_scratch_[i++], now);
+      update_eta(f, old_rate_scratch_[i++], now);
     }
   } else {
-    const bool incremental = mode_ == ReallocationMode::Incremental;
     for (auto& [id, f] : flows_) {
-      if (f.path == nullptr) continue;
-      if (incremental && f.completion_event != sim::kNoEvent && !crosses_dirty_link(f)) {
-        // No link on this flow's path changed count or capacity, and the
-        // rate is a pure function of those: it is bit-identical, skip.
-        ++stats_.rate_recomputes_skipped;
-        continue;
-      }
+      // No link on this flow's path changed count or capacity, and the
+      // rate is a pure function of those: it is bit-identical, skip.
+      if (f.path == nullptr || !crosses_dirty_link(f)) continue;
       double old_rate = f.rate;
       f.rate = path_rate(f);
-      update_completion_event(id, f, old_rate, now);
+      update_eta(f, old_rate, now);
     }
   }
 
   for (LinkId l : dirty_links_) link_dirty_[l] = 0;
   dirty_links_.clear();
+  arm();
 }
 
-void TransferManager::update_completion_event(TransferId id, Flow& f, double old_rate,
-                                              util::SimTime now) {
+void TransferManager::update_eta(Flow& f, double old_rate, util::SimTime now) {
   CHICSIM_ASSERT_MSG(f.rate > 0.0, "active flow allocated zero rate");
-  if (mode_ != ReallocationMode::RescheduleAll && f.completion_event != sim::kNoEvent) {
-    bool unchanged = f.rate == old_rate ||
-                     (reschedule_tolerance_ > 0.0 &&
-                      std::abs(f.rate - old_rate) <=
-                          reschedule_tolerance_ * std::max(f.rate, old_rate));
-    if (unchanged) {
-      // Keep the event AND the old rate: the scheduled finish time was
-      // derived from old_rate, and with tolerance 0 the two are bit-equal
-      // anyway, so settle() keeps advancing the flow consistently.
-      f.rate = old_rate;
-      ++stats_.reschedules_skipped;
-      return;
-    }
-  }
-  if (f.completion_event != sim::kNoEvent) {
-    (void)engine_.cancel(f.completion_event);
-    f.completion_event = sim::kNoEvent;
-  }
-  util::SimTime eta = f.remaining_mb <= kResidualTolMb ? 0.0 : f.remaining_mb / f.rate;
-  TransferId fid = id;
-  f.completion_event = engine_.schedule_at(now + eta, "transfer_completion",
-                                           [this, fid] { on_completion_event(fid); });
+  // A bit-equal rate leaves the ETA derived from it exact: keep it.
+  if (f.rate == old_rate) return;
+  f.eta = now + (f.remaining_mb <= kResidualTolMb ? 0.0 : f.remaining_mb / f.rate);
+  f.eta_seq = next_eta_seq_++;
   ++stats_.flows_rescheduled;
+}
+
+void TransferManager::arm() {
+  util::SimTime next = util::kTimeInfinity;
+  for (const auto& [id, f] : flows_) next = std::min(next, f.eta);
+  if (armed_ != sim::kNoEvent) {
+    if (armed_at_ == next) return;  // ETAs are finite: never true when idle
+    (void)engine_.cancel(armed_);
+    armed_ = sim::kNoEvent;
+  }
+  if (flows_.empty()) return;
+  armed_at_ = next;
+  armed_ = engine_.schedule_at(next, "transfer_completion", [this] { complete_next(); });
 }
 
 double TransferManager::path_rate(const Flow& f) const {
@@ -311,22 +296,24 @@ void TransferManager::compute_rates_max_min() {
   }
 }
 
-void TransferManager::on_completion_event(TransferId id) {
-  auto it = find_flow(id);
-  CHICSIM_ASSERT_MSG(it != flows_.end(), "completion event for unknown transfer");
-  it->second.completion_event = sim::kNoEvent;
-  if (it->second.path != nullptr) {
+void TransferManager::complete_next() {
+  armed_ = sim::kNoEvent;
+  auto next = std::min_element(flows_.begin(), flows_.end(), [](const auto& a, const auto& b) {
+    return std::pair(a.second.eta, a.second.eta_seq) < std::pair(b.second.eta, b.second.eta_seq);
+  });
+  CHICSIM_ASSERT_MSG(next != flows_.end() && next->second.eta == engine_.now(),
+                     "completion event fired away from the earliest ETA");
+  if (next->second.path != nullptr) {
     settle();
-    CHICSIM_ASSERT_MSG(it->second.remaining_mb <= kResidualTolMb,
+    CHICSIM_ASSERT_MSG(next->second.remaining_mb <= kResidualTolMb,
                        "completion event fired before delivery finished");
-    it->second.remaining_mb = 0.0;
+    next->second.remaining_mb = 0.0;
   }
-  finish(id);
+  finish(next);
 }
 
-void TransferManager::finish(TransferId id) {
-  auto it = find_flow(id);
-  CHICSIM_ASSERT(it != flows_.end());
+void TransferManager::finish(FlowVec::iterator it) {
+  const TransferId id = it->first;
   Flow flow = std::move(it->second);
   flows_.erase(it);
   if (flow.path != nullptr) {
@@ -337,6 +324,8 @@ void TransferManager::finish(TransferId id) {
     }
     stats_.delivered_mb[static_cast<std::size_t>(flow.purpose)] += flow.size_mb;
     reallocate();
+  } else {
+    arm();
   }
   ++stats_.transfers_completed;
   // Invoke last: the callback may start new transfers or run schedulers.

@@ -7,12 +7,12 @@
 //    bandwidth available for each transfer accordingly."
 //
 // We implement this as a fluid flow model.  Every active transfer f has a
-// current rate r(f); whenever the set of active transfers changes, all
-// flows are settled (remaining bytes advanced at the old rates), affected
-// rates are recomputed, and the completion events of flows whose rate
-// actually changed are rescheduled (see ReallocationMode below for the
-// incremental strategy and its exactness argument).  Two allocation
-// policies are provided:
+// current rate r(f) and a finish time (ETA) derived from it; whenever the
+// set of active transfers changes, all flows are settled (remaining bytes
+// advanced at the old rates), affected rates are recomputed, and the ETAs
+// of flows whose rate actually changed are re-derived (see reallocate()).
+// The manager keeps a single calendar event armed at the earliest ETA.
+// Two allocation policies are provided:
 //
 //  * EqualShare (paper-faithful): r(f) = min over links l on f's path of
 //    capacity(l) / n(l), where n(l) counts flows crossing l.  This never
@@ -48,35 +48,6 @@ enum class SharePolicy : std::uint8_t {
   NoContention,  ///< ablation: every flow gets the full bottleneck bandwidth
 };
 
-/// How reallocate() turns recomputed rates into calendar updates.
-///
-/// * RescheduleAll — the historical behaviour: every active flow's
-///   completion event is cancelled and rescheduled on every change, even
-///   when its rate is untouched. O(flows · log events) heap work per
-///   transfer start/finish; kept as the microbenchmark baseline.
-/// * Full — every flow's rate is recomputed, but the completion event is
-///   only cancelled/rescheduled when the rate actually changed. A flow
-///   whose rate is unchanged keeps its event: the previously computed
-///   finish time is still exact, so the calendar stays untouched.
-/// * Incremental (default) — additionally skips the rate recomputation for
-///   flows that cross no link whose flow count or bandwidth scale changed
-///   since the last reallocation. For EqualShare and NoContention a flow's
-///   rate is a pure function of the capacities and flow counts on its own
-///   path, so such flows provably keep a bit-identical rate. MaxMin's
-///   progressive filling is global, so under MaxMin Incremental behaves
-///   exactly like Full.
-///
-/// Full and Incremental produce bit-identical schedules (asserted by the
-/// A/B equivalence test over the whole paper matrix). RescheduleAll agrees
-/// with both up to floating-point rounding: re-deriving an unchanged
-/// flow's finish time from the settled residue reorders the arithmetic and
-/// shifts completions by ulps.
-enum class ReallocationMode : std::uint8_t {
-  RescheduleAll,
-  Full,
-  Incremental,
-};
-
 /// Why a transfer was initiated; used to split accounting between
 /// job-driven fetches, DS-driven replication (Figure 3b counts both) and
 /// the optional output-return extension.
@@ -100,11 +71,9 @@ struct TransferStats {
   std::uint64_t transfers_aborted = 0;
   std::uint64_t local_transfers = 0;
 
-  // Reallocation hot-path counters (see ReallocationMode).
-  std::uint64_t reallocations = 0;            ///< reallocate() invocations
-  std::uint64_t flows_rescheduled = 0;        ///< completion events cancel+pushed
-  std::uint64_t reschedules_skipped = 0;      ///< rate unchanged: event kept
-  std::uint64_t rate_recomputes_skipped = 0;  ///< flow crossed no dirty link
+  // Reallocation hot-path counters.
+  std::uint64_t reallocations = 0;      ///< reallocate() invocations
+  std::uint64_t flows_rescheduled = 0;  ///< ETAs re-derived because the rate changed
 
   [[nodiscard]] double total_delivered_mb() const {
     double total = 0.0;
@@ -118,8 +87,7 @@ class TransferManager {
   using CompletionFn = std::function<void(TransferId)>;
 
   TransferManager(sim::Engine& engine, const Topology& topo, const Routing& routing,
-                  SharePolicy policy = SharePolicy::EqualShare,
-                  ReallocationMode mode = ReallocationMode::Incremental);
+                  SharePolicy policy = SharePolicy::EqualShare);
 
   TransferManager(const TransferManager&) = delete;
   TransferManager& operator=(const TransferManager&) = delete;
@@ -169,19 +137,6 @@ class TransferManager {
 
   [[nodiscard]] const TransferStats& stats() const { return stats_; }
   [[nodiscard]] SharePolicy policy() const { return policy_; }
-  [[nodiscard]] ReallocationMode reallocation_mode() const { return mode_; }
-
-  /// Switch the reallocation strategy (A/B testing hook; safe at any time —
-  /// the mode only governs how the next reallocation updates the calendar).
-  void set_reallocation_mode(ReallocationMode mode) { mode_ = mode; }
-
-  /// Relative tolerance below which a rate change does not trigger a
-  /// reschedule (the flow keeps its old rate and finish time). The default
-  /// 0 skips only bit-identical rates, which preserves exact semantics;
-  /// a positive tolerance trades bounded finish-time error for fewer
-  /// calendar updates. Ignored under RescheduleAll.
-  void set_reschedule_tolerance(double tol);
-  [[nodiscard]] double reschedule_tolerance() const { return reschedule_tolerance_; }
 
  private:
   struct Flow {
@@ -190,9 +145,13 @@ class TransferManager {
     util::Megabytes size_mb = 0.0;
     util::Megabytes remaining_mb = 0.0;
     util::MbPerSec rate = 0.0;
+    /// Finish time derived from `rate`; kept while the rate is bit-unchanged.
+    util::SimTime eta = 0.0;
+    /// Order in which ETAs were assigned: equal ETAs complete in this order,
+    /// the schedule order in which the calendar breaks equal-time ties.
+    std::uint64_t eta_seq = 0;
     TransferPurpose purpose = TransferPurpose::Other;
     CompletionFn on_complete;
-    sim::EventId completion_event = sim::kNoEvent;
     const std::vector<LinkId>* path = nullptr;  // owned by Routing's cache
   };
 
@@ -200,28 +159,34 @@ class TransferManager {
   /// rates and accumulate link-busy statistics.
   void settle();
 
-  /// Recompute flow rates under the active policy and bring the completion
-  /// events up to date, per the active ReallocationMode.
+  /// Recompute flow rates under the active policy, re-derive the ETA of
+  /// every flow whose rate changed, and re-arm the completion event.
   void reallocate();
 
   /// Bottleneck rate of one flow under EqualShare / NoContention.
   [[nodiscard]] double path_rate(const Flow& f) const;
   void compute_rates_max_min();
 
-  /// Cancel + reschedule `f`'s completion event for its (already updated)
-  /// rate — or keep the event when the rate is unchanged within the
-  /// tolerance (and the mode allows keeping it).
-  void update_completion_event(TransferId id, Flow& f, double old_rate, util::SimTime now);
+  /// Re-derive `f`'s ETA as `now + remaining / rate` (with the next
+  /// eta_seq) unless its recomputed rate is bit-equal to `old_rate`.
+  void update_eta(Flow& f, double old_rate, util::SimTime now);
 
   /// Mark a link whose flow count or capacity changed since the last
   /// reallocation.
   void mark_link_dirty(LinkId link);
   [[nodiscard]] bool crosses_dirty_link(const Flow& f) const;
 
-  void on_completion_event(TransferId id);
-  void finish(TransferId id);
+  /// Keep the completion event armed at the earliest ETA, moving it only
+  /// when that earliest ETA moves (none armed while idle).
+  void arm();
+
+  /// The armed event: complete the flow with the smallest (eta, eta_seq).
+  void complete_next();
 
   using FlowVec = std::vector<std::pair<TransferId, Flow>>;
+
+  /// Remove a delivered flow, re-plan the rest and invoke its callback.
+  void finish(FlowVec::iterator it);
 
   /// Binary search by id (flows_ is sorted); end() when not active.
   [[nodiscard]] FlowVec::iterator find_flow(TransferId id);
@@ -239,11 +204,11 @@ class TransferManager {
   /// emplace_back keeps the vector ordered and iteration is creation order
   /// on every platform. settle() and reallocate() walk this container, and
   /// that walk order decides both the summation order of delivered_mb_hops
-  /// and the EventId assignment order of rescheduled completions — with a
-  /// hash map it would be a function of libc++ bucket internals instead. A
-  /// contiguous vector keeps those walks (the reallocation hot path) cache
-  /// friendly; lookups binary-search, erase shifts the tail (both are once
-  /// per transfer event, the walks happen several times per event).
+  /// and the eta_seq order of re-derived ETAs — with a hash map it would be
+  /// a function of libc++ bucket internals instead. A contiguous vector
+  /// keeps those walks (the reallocation hot path) cache friendly; lookups
+  /// binary-search, erase shifts the tail (both are once per transfer
+  /// event, the walks happen several times per event).
   std::vector<std::pair<TransferId, Flow>> flows_;
   std::vector<std::size_t> link_flow_count_;
   std::vector<util::SimTime> link_busy_time_;
@@ -257,8 +222,10 @@ class TransferManager {
   std::vector<double> old_rate_scratch_;
   util::SimTime last_settle_ = 0.0;
   TransferId next_id_ = 1;
-  ReallocationMode mode_;
-  double reschedule_tolerance_ = 0.0;
+  std::uint64_t next_eta_seq_ = 1;
+  /// The one pending completion event, and the time it is armed for.
+  sim::EventId armed_ = sim::kNoEvent;
+  util::SimTime armed_at_ = 0.0;
   TransferStats stats_;
 };
 

@@ -1,16 +1,15 @@
 // Pending-event set: a binary min-heap ordered by (time, id) with lazy
 // cancellation and tombstone compaction.
 //
-// Cancellation matters here because the network's fluid flow model
-// reschedules transfer-completion events every time the set of concurrent
-// transfers changes. A pending-id hash set makes cancel O(1); cancelled
-// entries stay in the heap as tombstones and are skipped on pop, keeping
-// pop amortized O(log n).
+// Cancels come from timers and retries being withdrawn and from the
+// network's single armed completion event moving when the earliest transfer
+// finish time moves; a flow's rate change alone never touches the calendar.
+// A pending-id hash set makes cancel O(1); cancelled entries stay in the
+// heap as tombstones and are skipped on pop, keeping pop amortized O(log n).
 //
-// Under transfer churn the tombstones can outnumber the live events by a
-// large factor, so whenever they do, the heap is compacted: cancelled
-// entries are filtered out and the heap is rebuilt in place (Floyd's
-// heapify, O(n)). Compaction never changes the pop order — the (time, id)
+// Should the tombstones ever outnumber the live events, the heap is
+// compacted: cancelled entries are filtered out and the heap is rebuilt in
+// place (Floyd's heapify, O(n)). Compaction never changes the pop order — the (time, id)
 // order is total, so delivery is independent of the heap's internal layout.
 // The amortized cost is O(1) per cancel: each compaction removes at least
 // half of the heap, paid for by the cancels that created the tombstones.

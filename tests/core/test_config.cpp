@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+
+#include "util/config_file.hpp"
 #include "util/error.hpp"
 
 namespace chicsim::core {
@@ -103,6 +107,30 @@ TEST(Config, ApplyRejectsBadValues) {
   EXPECT_THROW(cfg.apply(bad_share), util::SimError);
   auto bad_num = util::ConfigFile::parse("num_sites = -3\n");
   EXPECT_THROW(cfg.apply(bad_num), util::SimError);
+}
+
+TEST(Config, ApplyRejectsUnknownKeys) {
+  SimulationConfig cfg;
+  auto typo = util::ConfigFile::parse("num_sites = 10\nshare_polcy = maxmin\n");
+  try {
+    cfg.apply(typo);
+    FAIL() << "a misspelt key was accepted";
+  } catch (const util::SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("share_polcy"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Config, ShippedScenarioFilesLoad) {
+  std::size_t loaded = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(CHICSIM_SOURCE_DIR "/examples/scenarios")) {
+    if (entry.path().extension() != ".cfg") continue;
+    SimulationConfig cfg;
+    EXPECT_NO_THROW(cfg.apply(util::ConfigFile::load(entry.path().string()))) << entry.path();
+    EXPECT_NO_THROW(cfg.validate()) << entry.path();
+    ++loaded;
+  }
+  EXPECT_GE(loaded, 6u);
 }
 
 TEST(Config, DescribeMentionsEveryKnob) {

@@ -11,11 +11,11 @@
 // TransferManager::flows_ by TransferId: before that fix the trajectory
 // depended on libstdc++ hash-walk order, which this suite would not have
 // caught (same build = same hash walk) but which made the serial/parallel
-// and Full/Incremental equivalences fragile against any container change.
+// equivalence fragile against any container change.
 // Bit-identity is asserted with exact (==) comparisons across 2 seeds x
-// the paper's full 4x3 ES x DS matrix, in the style of
-// test_ab_equivalence.cpp, both fault-free (fig3/fig4 smoke shape) and
-// under a stochastic fault plan.
+// the paper's full 4x3 ES x DS matrix, both fault-free (fig3/fig4 smoke
+// shape) and under a stochastic fault plan, and per seed at 2/3/8/all
+// worker threads.
 #include "core/experiment.hpp"
 
 #include <gtest/gtest.h>
@@ -31,7 +31,7 @@ namespace chicsim::core {
 namespace {
 
 /// fig3/fig4 smoke scale: Table 1 shrunk until a full matrix runs in
-/// milliseconds, like tiny_config() in test_ab_equivalence.cpp.
+/// milliseconds.
 SimulationConfig smoke_config() {
   SimulationConfig cfg;
   cfg.num_users = 8;
@@ -60,19 +60,34 @@ void expect_bit_identical(const RunMetrics& a, const RunMetrics& b) {
   EXPECT_EQ(a.makespan_s, b.makespan_s);
   EXPECT_EQ(a.avg_response_time_s, b.avg_response_time_s);
   EXPECT_EQ(a.p95_response_time_s, b.p95_response_time_s);
+  EXPECT_EQ(a.avg_placement_wait_s, b.avg_placement_wait_s);
   EXPECT_EQ(a.avg_queue_wait_s, b.avg_queue_wait_s);
   EXPECT_EQ(a.avg_data_wait_s, b.avg_data_wait_s);
+  EXPECT_EQ(a.avg_compute_s, b.avg_compute_s);
+  EXPECT_EQ(a.avg_output_wait_s, b.avg_output_wait_s);
   EXPECT_EQ(a.avg_data_per_job_mb, b.avg_data_per_job_mb);
   EXPECT_EQ(a.avg_fetch_per_job_mb, b.avg_fetch_per_job_mb);
   EXPECT_EQ(a.avg_replication_per_job_mb, b.avg_replication_per_job_mb);
+  EXPECT_EQ(a.avg_output_per_job_mb, b.avg_output_per_job_mb);
   EXPECT_EQ(a.total_mb_hops, b.total_mb_hops);
   EXPECT_EQ(a.idle_fraction, b.idle_fraction);
+  EXPECT_EQ(a.utilization, b.utilization);
+  EXPECT_EQ(a.avg_link_busy_fraction, b.avg_link_busy_fraction);
+  EXPECT_EQ(a.max_link_busy_fraction, b.max_link_busy_fraction);
   EXPECT_EQ(a.remote_fetches, b.remote_fetches);
   EXPECT_EQ(a.replications, b.replications);
+  EXPECT_EQ(a.local_data_hits, b.local_data_hits);
+  EXPECT_EQ(a.local_data_misses, b.local_data_misses);
+  EXPECT_EQ(a.cache_evictions, b.cache_evictions);
+  EXPECT_EQ(a.jobs_run_at_origin, b.jobs_run_at_origin);
   // Calendar traffic: identical trajectories execute identical events.
   EXPECT_EQ(a.events_executed, b.events_executed);
   EXPECT_EQ(a.event_pushes, b.event_pushes);
   EXPECT_EQ(a.event_cancels, b.event_cancels);
+  EXPECT_EQ(a.peak_heap_size, b.peak_heap_size);
+  EXPECT_EQ(a.queue_compactions, b.queue_compactions);
+  EXPECT_EQ(a.reallocations, b.reallocations);
+  EXPECT_EQ(a.flows_rescheduled, b.flows_rescheduled);
 }
 
 void expect_cells_bit_identical(const std::vector<CellResult>& serial,
@@ -123,6 +138,27 @@ TEST(ParallelDeterminism, PerSeedWorkStealingFoldIsBitIdentical) {
     ASSERT_EQ(a.per_seed.size(), b.per_seed.size());
     for (std::size_t s = 0; s < a.per_seed.size(); ++s) {
       expect_bit_identical(a.per_seed[s], b.per_seed[s]);
+    }
+  }
+}
+
+TEST(ParallelDeterminism, ParallelRunCellBitIdenticalToSerial) {
+  ExperimentRunner serial(smoke_config(), {11, 12, 13, 14});
+  CellResult reference = serial.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataRandom);
+
+  for (unsigned threads : {2u, 3u, 8u, 0u}) {
+    ExperimentRunner parallel(smoke_config(), {11, 12, 13, 14});
+    parallel.set_cell_threads(threads);
+    CellResult cell = parallel.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataRandom);
+    EXPECT_EQ(cell.seeds_run, reference.seeds_run);
+    EXPECT_EQ(cell.avg_response_time_s, reference.avg_response_time_s);
+    EXPECT_EQ(cell.avg_data_per_job_mb, reference.avg_data_per_job_mb);
+    EXPECT_EQ(cell.idle_fraction, reference.idle_fraction);
+    EXPECT_EQ(cell.makespan_s, reference.makespan_s);
+    EXPECT_EQ(cell.response_cv, reference.response_cv);
+    ASSERT_EQ(cell.per_seed.size(), reference.per_seed.size());
+    for (std::size_t s = 0; s < cell.per_seed.size(); ++s) {
+      expect_bit_identical(cell.per_seed[s], reference.per_seed[s]);
     }
   }
 }

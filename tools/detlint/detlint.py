@@ -2,8 +2,8 @@
 """detlint — determinism linter for the chicsim simulator.
 
 Every result in the 4x3 ES x DS matrix rests on deterministic replay: the
-bit-identity suites (test_ab_equivalence, test_refactor_equivalence, the
-empty-fault-plan identity) all assert exact double equality across runs.
+bit-identity suites (test_refactor_equivalence, test_parallel_determinism,
+the empty-fault-plan identity) all assert exact double equality across runs.
 This linter statically rejects the code patterns that historically break
 that contract:
 
