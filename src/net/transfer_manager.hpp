@@ -108,7 +108,7 @@ class TransferManager {
   void abort(TransferId id);
 
   /// Number of in-flight transfers.
-  [[nodiscard]] std::size_t active_count() const { return flows_.size(); }
+  [[nodiscard]] std::size_t active_count() const { return flows_.size() - dead_; }
 
   /// Current rate of an active transfer (MB/s).
   [[nodiscard]] util::MbPerSec current_rate(TransferId id) const;
@@ -140,20 +140,32 @@ class TransferManager {
 
  private:
   struct Flow {
-    NodeId src = kNoNode;
-    NodeId dst = kNoNode;
-    util::Megabytes size_mb = 0.0;
+    // settle() reads these four on every walk: keep them together.
     util::Megabytes remaining_mb = 0.0;
     util::MbPerSec rate = 0.0;
-    /// Finish time derived from `rate`; kept while the rate is bit-unchanged.
-    util::SimTime eta = 0.0;
+    /// path->size() as a double, so the mb-hop sum in settle() does not
+    /// follow the pointer into Routing's cache.
+    double hops = 0.0;
+    const std::vector<LinkId>* path = nullptr;  // owned by Routing's cache
     /// Order in which ETAs were assigned: equal ETAs complete in this order,
     /// the schedule order in which the calendar breaks equal-time ties.
     std::uint64_t eta_seq = 0;
+    util::Megabytes size_mb = 0.0;
     TransferPurpose purpose = TransferPurpose::Other;
     CompletionFn on_complete;
-    const std::vector<LinkId>* path = nullptr;  // owned by Routing's cache
   };
+
+  /// Per-slot state byte, parallel to flows_.
+  enum SlotState : std::uint8_t {
+    kLive = 0,
+    kGathered = 1,  ///< queued for rate recomputation in this reallocate()
+    kDead = 2,      ///< retired (finished or aborted), awaiting compaction
+  };
+
+  /// Position of an id's slot in flows_ when it is live, else kNoSlot.
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+  [[nodiscard]] std::size_t find_flow(TransferId id) const;
+  [[nodiscard]] std::size_t live_slot(TransferId id, const char* what) const;
 
   /// Advance every flow's remaining bytes to the current time at the old
   /// rates and accumulate link-busy statistics.
@@ -163,18 +175,18 @@ class TransferManager {
   /// every flow whose rate changed, and re-arm the completion event.
   void reallocate();
 
-  /// Bottleneck rate of one flow under EqualShare / NoContention.
+  /// Bottleneck rate of one flow under EqualShare / NoContention: the
+  /// smallest link_share_ on its path.
   [[nodiscard]] double path_rate(const Flow& f) const;
   void compute_rates_max_min();
 
-  /// Re-derive `f`'s ETA as `now + remaining / rate` (with the next
+  /// Re-derive slot `pos`'s ETA as `now + remaining / rate` (with the next
   /// eta_seq) unless its recomputed rate is bit-equal to `old_rate`.
-  void update_eta(Flow& f, double old_rate, util::SimTime now);
+  void update_eta(std::size_t pos, double old_rate, util::SimTime now);
 
   /// Mark a link whose flow count or capacity changed since the last
   /// reallocation.
   void mark_link_dirty(LinkId link);
-  [[nodiscard]] bool crosses_dirty_link(const Flow& f) const;
 
   /// Keep the completion event armed at the earliest ETA, moving it only
   /// when that earliest ETA moves (none armed while idle).
@@ -183,14 +195,17 @@ class TransferManager {
   /// The armed event: complete the flow with the smallest (eta, eta_seq).
   void complete_next();
 
-  using FlowVec = std::vector<std::pair<TransferId, Flow>>;
+  /// Deliver slot `pos`, re-plan the rest and invoke its callback.
+  void finish(std::size_t pos);
 
-  /// Remove a delivered flow, re-plan the rest and invoke its callback.
-  void finish(FlowVec::iterator it);
+  /// Take slot `pos` out of the network: return its link shares, mark it
+  /// dead, compact the table when dead slots outnumber live ones, and
+  /// re-plan. Returns the released completion callback.
+  CompletionFn retire(std::size_t pos);
 
-  /// Binary search by id (flows_ is sorted); end() when not active.
-  [[nodiscard]] FlowVec::iterator find_flow(TransferId id);
-  [[nodiscard]] FlowVec::const_iterator find_flow(TransferId id) const;
+  /// Drop the dead slots (stable, so live flows keep id order) and rebuild
+  /// the per-link index over the new positions.
+  void compact();
 
   sim::Engine& engine_;
   const Topology& topo_;
@@ -200,17 +215,33 @@ class TransferManager {
   /// Effective capacity of a link right now (nominal x scale).
   [[nodiscard]] double capacity(LinkId link) const;
 
-  /// Sorted by TransferId: ids are handed out by an increasing counter, so
-  /// emplace_back keeps the vector ordered and iteration is creation order
-  /// on every platform. settle() and reallocate() walk this container, and
-  /// that walk order decides both the summation order of delivered_mb_hops
-  /// and the eta_seq order of re-derived ETAs — with a hash map it would be
-  /// a function of libc++ bucket internals instead. A contiguous vector
-  /// keeps those walks (the reallocation hot path) cache friendly; lookups
-  /// binary-search, erase shifts the tail (both are once per transfer
-  /// event, the walks happen several times per event).
+  /// The flow table, sorted by TransferId: ids come from an increasing
+  /// counter, so emplace_back keeps it ordered and position order is
+  /// creation order on every platform. That order decides the summation
+  /// order of delivered_mb_hops in settle() and the eta_seq order of
+  /// re-derived ETAs, so both are independent of library internals.
+  /// finish() and abort() do not erase: they tombstone the slot (path
+  /// cleared, rate 0, ETA +inf, state kDead), so positions stay stable and
+  /// link_flows_ stays valid. compact() drops the dead slots once they
+  /// outnumber the live ones in a table of at least kCompactMinSlots.
+  /// Lookups binary-search and treat dead slots as absent.
   std::vector<std::pair<TransferId, Flow>> flows_;
+  /// Parallel to flows_: each slot's finish time (+inf when dead), derived
+  /// from its rate and kept while the rate is bit-unchanged. arm() scans it
+  /// for the minimum, complete_next() for the armed time.
+  std::vector<util::SimTime> etas_;
+  /// Parallel to flows_: SlotState; the dedupe flag of reallocate()'s
+  /// gather and the dead mark, read without touching the Flow.
+  std::vector<std::uint8_t> slot_state_;
+  std::size_t dead_ = 0;
+  /// Per link: positions of the flows crossing it. May still list dead
+  /// slots until the next compaction.
+  std::vector<std::vector<std::uint32_t>> link_flows_;
   std::vector<std::size_t> link_flow_count_;
+  /// Per link under EqualShare / NoContention: the rate it offers each
+  /// flow crossing it (capacity / flows, or capacity), refreshed for the
+  /// dirty links by reallocate().
+  std::vector<double> link_share_;
   std::vector<util::SimTime> link_busy_time_;
   std::vector<double> link_scale_;
   /// Links whose flow count or scale changed since the last reallocate();
@@ -218,7 +249,9 @@ class TransferManager {
   /// clearing O(dirty) instead of O(links).
   std::vector<std::uint8_t> link_dirty_;
   std::vector<LinkId> dirty_links_;
-  /// Scratch for MaxMin's old-rate snapshot (avoids per-reallocate allocs).
+  /// Scratch for reallocate(): positions gathered from the dirty links, and
+  /// MaxMin's old-rate snapshot (kept to avoid per-call allocations).
+  std::vector<std::uint32_t> gathered_;
   std::vector<double> old_rate_scratch_;
   util::SimTime last_settle_ = 0.0;
   TransferId next_id_ = 1;
