@@ -10,7 +10,6 @@
 
 #include "common.hpp"
 #include "data/catalog.hpp"
-#include "util/histogram.hpp"
 #include "util/table.hpp"
 #include "workload/generator.hpp"
 

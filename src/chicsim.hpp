@@ -18,7 +18,6 @@
 #include "util/config_file.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
-#include "util/histogram.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"

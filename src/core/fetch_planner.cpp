@@ -273,25 +273,27 @@ data::SiteIndex FetchPlanner::choose_source(data::DatasetId dataset, data::SiteI
     }
     case ReplicaSelection::Closest: {
       data::SiteIndex best = live.front();
+      std::size_t db = routing_.hops(best, dest);
       for (data::SiteIndex h : live) {
         std::size_t dh = routing_.hops(h, dest);
-        std::size_t db = routing_.hops(best, dest);
         if (dh < db || (dh == db && (sites_[h].load() < sites_[best].load() ||
                                      (sites_[h].load() == sites_[best].load() && h < best)))) {
           best = h;
+          db = dh;
         }
       }
       return best;
     }
     case ReplicaSelection::LeastLoadedSource: {
       data::SiteIndex best = live.front();
+      std::size_t db = routing_.hops(best, dest);
       for (data::SiteIndex h : live) {
         std::size_t lh = sites_[h].load();
         std::size_t lb = sites_[best].load();
-        if (lh < lb || (lh == lb && (routing_.hops(h, dest) < routing_.hops(best, dest) ||
-                                     (routing_.hops(h, dest) == routing_.hops(best, dest) &&
-                                      h < best)))) {
+        std::size_t dh = routing_.hops(h, dest);
+        if (lh < lb || (lh == lb && (dh < db || (dh == db && h < best)))) {
           best = h;
+          db = dh;
         }
       }
       return best;

@@ -1,83 +1,71 @@
 #include "net/routing.hpp"
 
-#include <queue>
+#include <string>
 
 #include "util/error.hpp"
 
 namespace chicsim::net {
 
-namespace {
-constexpr LinkId kNoLink = static_cast<LinkId>(-1);
-}
-
-Routing::Routing(const Topology& topo) : topo_(topo), n_(topo.node_count()) {
-  CHICSIM_ASSERT_MSG(topo.connected(), "routing requires a connected topology");
-  next_link_.assign(n_ * n_, kNoLink);
-  hop_count_.assign(n_ * n_, 0);
-  paths_.resize(n_ * n_);
-  path_built_.assign(n_ * n_, false);
-
-  // One BFS per destination: record, for every source, the first link on a
-  // shortest path toward that destination. BFS from the destination and
-  // point each discovered node back toward where it was discovered from.
-  std::vector<std::uint32_t> dist(n_);
-  std::vector<LinkId> toward(n_);
-  for (NodeId dst = 0; dst < n_; ++dst) {
-    std::fill(dist.begin(), dist.end(), static_cast<std::uint32_t>(-1));
-    std::fill(toward.begin(), toward.end(), kNoLink);
-    std::queue<NodeId> frontier;
-    dist[dst] = 0;
-    frontier.push(dst);
-    while (!frontier.empty()) {
-      NodeId u = frontier.front();
-      frontier.pop();
-      for (LinkId l : topo.links_of(u)) {
-        NodeId v = topo.neighbor_via(l, u);
-        if (dist[v] == static_cast<std::uint32_t>(-1)) {
-          dist[v] = dist[u] + 1;
-          toward[v] = l;  // from v, go over l to u (closer to dst)
-          frontier.push(v);
-        }
+Routing::Routing(const Topology& topo) : up_(topo.node_count()) {
+  if (up_.empty()) return;
+  std::vector<bool> seen(up_.size(), false);
+  std::vector<NodeId> order{0};
+  seen[0] = true;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    NodeId u = order[i];
+    for (LinkId l : topo.links_of(u)) {
+      if (l == up_[u].link) continue;
+      NodeId v = topo.neighbor_via(l, u);
+      if (seen[v]) {
+        throw util::SimError("routing requires a tree topology: link " + std::to_string(l) +
+                             " closes a cycle or duplicates a link");
       }
+      seen[v] = true;
+      up_[v] = Up{u, l, up_[u].depth + 1};
+      order.push_back(v);
     }
-    for (NodeId src = 0; src < n_; ++src) {
-      CHICSIM_ASSERT(dist[src] != static_cast<std::uint32_t>(-1));
-      next_link_[index(src, dst)] = toward[src];
-      hop_count_[index(src, dst)] = dist[src];
-    }
+  }
+  if (order.size() != up_.size()) {
+    throw util::SimError("routing requires a connected topology");
   }
 }
 
-std::size_t Routing::index(NodeId src, NodeId dst) const {
-  CHICSIM_ASSERT_MSG(src < n_ && dst < n_, "routing endpoint out of range");
-  return static_cast<std::size_t>(src) * n_ + dst;
+void Routing::check_range(NodeId src, NodeId dst) const {
+  CHICSIM_ASSERT_MSG(src < up_.size() && dst < up_.size(), "routing endpoint out of range");
 }
 
 const std::vector<LinkId>& Routing::path(NodeId src, NodeId dst) const {
-  std::size_t idx = index(src, dst);
-  if (!path_built_[idx]) {
-    std::vector<LinkId> p;
-    NodeId cur = src;
-    while (cur != dst) {
-      LinkId l = next_link_[index(cur, dst)];
-      CHICSIM_ASSERT(l != kNoLink);
-      p.push_back(l);
-      cur = topo_.neighbor_via(l, cur);
-      CHICSIM_ASSERT_MSG(p.size() <= n_, "routing loop detected");
+  check_range(src, dst);
+  auto [it, inserted] = paths_.try_emplace((static_cast<std::uint64_t>(src) << 32) | dst);
+  if (inserted) {
+    std::vector<LinkId>& p = it->second;
+    std::vector<LinkId> down;  // dst-side links, collected bottom-up
+    while (src != dst) {
+      if (up_[src].depth >= up_[dst].depth) {
+        p.push_back(up_[src].link);
+        src = up_[src].parent;
+      } else {
+        down.push_back(up_[dst].link);
+        dst = up_[dst].parent;
+      }
     }
-    paths_[idx] = std::move(p);
-    path_built_[idx] = true;
+    p.insert(p.end(), down.rbegin(), down.rend());
   }
-  return paths_[idx];
+  return it->second;
 }
 
-std::size_t Routing::hops(NodeId src, NodeId dst) const { return hop_count_[index(src, dst)]; }
-
-NodeId Routing::next_hop(NodeId src, NodeId dst) const {
-  if (src == dst) return src;
-  LinkId l = next_link_[index(src, dst)];
-  CHICSIM_ASSERT(l != kNoLink);
-  return topo_.neighbor_via(l, src);
+std::size_t Routing::hops(NodeId src, NodeId dst) const {
+  check_range(src, dst);
+  std::size_t n = 0;
+  while (src != dst) {
+    if (up_[src].depth >= up_[dst].depth) {
+      src = up_[src].parent;
+    } else {
+      dst = up_[dst].parent;
+    }
+    ++n;
+  }
+  return n;
 }
 
 }  // namespace chicsim::net

@@ -1,7 +1,5 @@
 #include "net/topology.hpp"
 
-#include <queue>
-
 #include "util/error.hpp"
 
 namespace chicsim::net {
@@ -53,28 +51,6 @@ std::vector<NodeId> Topology::nodes_of_kind(NodeKind kind) const {
   return out;
 }
 
-bool Topology::connected() const {
-  if (nodes_.empty()) return true;
-  std::vector<bool> seen(nodes_.size(), false);
-  std::queue<NodeId> frontier;
-  frontier.push(0);
-  seen[0] = true;
-  std::size_t visited = 1;
-  while (!frontier.empty()) {
-    NodeId u = frontier.front();
-    frontier.pop();
-    for (LinkId l : adjacency_[u]) {
-      NodeId v = neighbor_via(l, u);
-      if (!seen[v]) {
-        seen[v] = true;
-        ++visited;
-        frontier.push(v);
-      }
-    }
-  }
-  return visited == nodes_.size();
-}
-
 Topology build_hierarchy(const HierarchyConfig& config) {
   CHICSIM_ASSERT_MSG(config.num_sites > 0, "hierarchy needs at least one site");
   CHICSIM_ASSERT_MSG(config.num_regions > 0, "hierarchy needs at least one region");
@@ -98,45 +74,6 @@ Topology build_hierarchy(const HierarchyConfig& config) {
   for (std::size_t s = 0; s < config.num_sites; ++s) {
     topo.add_link(static_cast<NodeId>(s), regions[s % config.num_regions],
                   config.link_bandwidth_mbps);
-  }
-  return topo;
-}
-
-Topology build_tree(std::size_t num_sites, const std::vector<TreeTier>& tiers,
-                    util::MbPerSec site_bandwidth_mbps) {
-  CHICSIM_ASSERT_MSG(num_sites > 0, "tree needs at least one site");
-  CHICSIM_ASSERT_MSG(site_bandwidth_mbps > 0.0, "site bandwidth must be positive");
-
-  Topology topo;
-  for (std::size_t s = 0; s < num_sites; ++s) {
-    topo.add_node(NodeKind::Site, "site" + std::to_string(s));
-  }
-  NodeId root = topo.add_node(NodeKind::Router, "root");
-
-  // Expand router tiers breadth-first.
-  std::vector<NodeId> frontier{root};
-  for (std::size_t level = 0; level < tiers.size(); ++level) {
-    const TreeTier& tier = tiers[level];
-    CHICSIM_ASSERT_MSG(tier.fanout > 0, "tree tier fanout must be positive");
-    CHICSIM_ASSERT_MSG(tier.downlink_bandwidth_mbps > 0.0,
-                       "tree tier bandwidth must be positive");
-    std::vector<NodeId> next;
-    next.reserve(frontier.size() * tier.fanout);
-    for (NodeId parent : frontier) {
-      for (std::size_t c = 0; c < tier.fanout; ++c) {
-        NodeId child = topo.add_node(
-            NodeKind::Router,
-            "router_l" + std::to_string(level + 1) + "_" + std::to_string(next.size()));
-        topo.add_link(parent, child, tier.downlink_bandwidth_mbps);
-        next.push_back(child);
-      }
-    }
-    frontier = std::move(next);
-  }
-
-  for (std::size_t s = 0; s < num_sites; ++s) {
-    topo.add_link(static_cast<NodeId>(s), frontier[s % frontier.size()],
-                  site_bandwidth_mbps);
   }
   return topo;
 }

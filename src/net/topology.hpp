@@ -4,8 +4,8 @@
 // The paper assumes "a hierarchical network topology much like that
 // envisioned by the GriPhyN project" (§5.1): storage/compute sites at the
 // leaves under regional routers under a root.  `build_hierarchy` constructs
-// exactly that; arbitrary graphs can also be assembled link by link for
-// tests and ablations (e.g. a flat full mesh).
+// exactly that and `build_star` a flat one-router variant. Other shapes can
+// be assembled link by link, but Routing accepts only trees.
 #pragma once
 
 #include <cstddef>
@@ -60,9 +60,6 @@ class Topology {
   /// All node ids of a given kind, in creation order.
   [[nodiscard]] std::vector<NodeId> nodes_of_kind(NodeKind kind) const;
 
-  /// True when every node can reach every other node.
-  [[nodiscard]] bool connected() const;
-
  private:
   std::vector<Node> nodes_;
   std::vector<Link> links_;
@@ -88,20 +85,5 @@ struct HierarchyConfig {
 /// Build a flat topology: every site links directly to a single central
 /// router (star). Used by ablations to isolate hierarchy effects.
 [[nodiscard]] Topology build_star(std::size_t num_sites, util::MbPerSec bandwidth_mbps);
-
-/// One router tier of a generalized tree (see build_tree).
-struct TreeTier {
-  std::size_t fanout = 2;  ///< children per router of the tier above
-  util::MbPerSec downlink_bandwidth_mbps = 10.0;  ///< links into this tier
-};
-
-/// Build a general multi-tier tree: a single root router, then one router
-/// tier per entry of `tiers` (tier i has fanout[i] children per parent),
-/// and finally `num_sites` leaf sites attached round-robin to the deepest
-/// router tier over links of `site_bandwidth_mbps`. With an empty `tiers`
-/// this degenerates to a star. Site nodes are created first, so NodeId ==
-/// site index, matching build_hierarchy's contract.
-[[nodiscard]] Topology build_tree(std::size_t num_sites, const std::vector<TreeTier>& tiers,
-                                  util::MbPerSec site_bandwidth_mbps);
 
 }  // namespace chicsim::net
