@@ -164,9 +164,7 @@ std::vector<core::CellResult> run_matrix_from_cli(
     const std::vector<core::DsAlgorithm>& ds_algorithms) {
   long threads = cli.get_int("threads");
   if (threads < 0) throw util::SimError("--threads must be >= 0");
-  if (threads == 1) return runner.run_matrix(es_algorithms, ds_algorithms);
-  return runner.run_matrix_parallel(es_algorithms, ds_algorithms,
-                                    static_cast<unsigned>(threads));
+  return runner.run_matrix(es_algorithms, ds_algorithms, static_cast<unsigned>(threads));
 }
 
 std::string render_matrix(const std::vector<core::CellResult>& cells,

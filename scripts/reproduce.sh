@@ -33,7 +33,6 @@ echo "== tables and figures"
 status=0
 for bench in "$repo"/build/bench/bench_*; do
   name="$(basename "$bench")"
-  [ "$name" = bench_micro_engine ] && continue
   echo "-- $name"
   args=("--threads=$threads")
   case "$name" in
@@ -55,10 +54,6 @@ for bench in "$repo"/build/bench/bench_*; do
     tail -1 "$out/$name.txt" | sed 's/^/   /'
   fi
 done
-
-echo "== microbenchmarks"
-"$repo/build/bench/bench_micro_engine" --benchmark_min_time=0.05 \
-  > "$out/bench_micro_engine.txt" 2>&1 || true
 
 echo "== done: outputs in $out"
 exit "$status"

@@ -40,15 +40,11 @@ void audit_grid(const Grid& grid) {
     if (site.compute().busy() > site.compute().size()) {
       fail("site " + std::to_string(site.index()) + " has more busy elements than exist");
     }
-    if (site.running_count() != site.compute().busy()) {
-      fail("site " + std::to_string(site.index()) +
-           " running-job count disagrees with busy elements");
-    }
     // Crash invariants: a dead site holds no work — its queue was drained
     // and its running jobs killed by the crash choreography.
     if (!site.alive()) {
       if (site.load() != 0) fail("dead site " + std::to_string(s) + " has queued jobs");
-      if (site.running_count() != 0) {
+      if (site.compute().busy() != 0) {
         fail("dead site " + std::to_string(s) + " has running jobs");
       }
     }
@@ -69,7 +65,7 @@ void audit_grid(const Grid& grid) {
     for (data::SiteIndex s = 0; s < grid.site_count(); ++s) {
       const site::Site& site = grid.site_at(s);
       if (site.load() != 0) fail("finished run left jobs queued");
-      if (site.running_count() != 0) fail("finished run left jobs running");
+      if (site.compute().busy() != 0) fail("finished run left jobs running");
     }
     std::uint64_t completed = 0;
     for (site::JobId id = 1; id <= grid.job_count(); ++id) {

@@ -172,6 +172,7 @@ std::string SimulationConfig::describe() const {
   line("storage_capacity_mb", util::format_fixed(storage_capacity_mb, 0));
   line("replication_threshold", util::format_fixed(replication_threshold, 1));
   line("ds_check_period_s", util::format_fixed(ds_check_period_s, 0));
+  line("popularity_half_life_s", util::format_fixed(popularity_half_life_s, 1));
   line("info_staleness_s", util::format_fixed(info_staleness_s, 0));
   line("topology", to_string(topology));
   line("num_regions", std::to_string(num_regions));

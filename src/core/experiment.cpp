@@ -1,6 +1,9 @@
 #include "core/experiment.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
+#include <span>
 #include <thread>
 
 #include "core/grid.hpp"
@@ -21,62 +24,20 @@ void ExperimentRunner::set_progress(std::function<void(const std::string&)> prog
   progress_ = std::move(progress);
 }
 
-void ExperimentRunner::set_cell_threads(unsigned threads) {
-  cell_threads_ = threads == 0 ? std::max(1u, std::thread::hardware_concurrency()) : threads;
-}
-
-void ExperimentRunner::report_progress(const std::string& line) const {
-  if (!progress_) return;
-  std::lock_guard<std::mutex> lock(progress_mutex_);
-  progress_(line);
-}
-
 RunMetrics ExperimentRunner::run_single(const SimulationConfig& config) {
   Grid grid(config);
   grid.run();
   return grid.metrics();
 }
 
-CellResult ExperimentRunner::run_cell(EsAlgorithm es, DsAlgorithm ds) const {
+namespace {
+
+/// Average one cell's per-seed runs, walking them in seed order so every
+/// floating-point sum is the same whatever order the runs finished in.
+CellResult fold_cell(EsAlgorithm es, DsAlgorithm ds, std::span<RunMetrics> per_seed) {
   CellResult cell;
   cell.es = es;
   cell.ds = ds;
-
-  // Per-seed runs are independent (each Grid owns its whole world and
-  // derives every RNG stream from its own config.seed), so they can be
-  // spread over worker threads. Each run writes into its own slot; the
-  // fold below walks the slots in seed order, so the accumulation order —
-  // and therefore every floating-point sum — is identical for any thread
-  // count, including the serial path.
-  std::vector<RunMetrics> per_seed(seeds_.size());
-  auto run_one = [&](std::size_t i) {
-    SimulationConfig config = base_;
-    config.es = es;
-    config.ds = ds;
-    config.seed = seeds_[i];
-    per_seed[i] = run_single(config);
-    report_progress(std::string(to_string(es)) + "+" + to_string(ds) + " seed " +
-                    std::to_string(seeds_[i]) + " done");
-  };
-  const unsigned threads = std::min<unsigned>(std::max(1u, cell_threads_),
-                                              static_cast<unsigned>(seeds_.size()));
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < seeds_.size(); ++i) run_one(i);
-  } else {
-    std::atomic<std::size_t> next{0};
-    auto worker = [&] {
-      while (true) {
-        std::size_t i = next.fetch_add(1);
-        if (i >= seeds_.size()) return;
-        run_one(i);
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
-
   util::OnlineStats response;
   for (RunMetrics& m : per_seed) {
     response.add(m.avg_response_time_s);
@@ -109,52 +70,65 @@ CellResult ExperimentRunner::run_cell(EsAlgorithm es, DsAlgorithm ds) const {
   return cell;
 }
 
-std::vector<CellResult> ExperimentRunner::run_matrix(
-    const std::vector<EsAlgorithm>& es_algorithms,
-    const std::vector<DsAlgorithm>& ds_algorithms) const {
-  std::vector<CellResult> out;
-  out.reserve(es_algorithms.size() * ds_algorithms.size());
-  for (EsAlgorithm es : es_algorithms) {
-    for (DsAlgorithm ds : ds_algorithms) {
-      out.push_back(run_cell(es, ds));
-    }
-  }
-  return out;
+}  // namespace
+
+CellResult ExperimentRunner::run_cell(EsAlgorithm es, DsAlgorithm ds, unsigned threads) const {
+  return run_cells({{es, ds}}, threads).front();
 }
 
-std::vector<CellResult> ExperimentRunner::run_matrix_parallel(
+std::vector<CellResult> ExperimentRunner::run_matrix(
     const std::vector<EsAlgorithm>& es_algorithms,
     const std::vector<DsAlgorithm>& ds_algorithms, unsigned threads) const {
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t cells = es_algorithms.size() * ds_algorithms.size();
-  std::vector<CellResult> out(cells);
-  if (cells == 0) return out;
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(cells));
+  std::vector<std::pair<EsAlgorithm, DsAlgorithm>> cells;
+  cells.reserve(es_algorithms.size() * ds_algorithms.size());
+  for (EsAlgorithm es : es_algorithms) {
+    for (DsAlgorithm ds : ds_algorithms) cells.emplace_back(es, ds);
+  }
+  return run_cells(cells, threads);
+}
 
-  // Work stealing over a shared atomic index: each worker claims the next
-  // unstarted cell and writes into its own slot — no locking needed on the
-  // results. Per-seed progress is forwarded to the shared callback through
-  // report_progress(), which serialises concurrent workers with a mutex.
-  // Solo runners keep cell_threads at 1: the matrix already saturates the
-  // pool, nesting per-seed threads would only oversubscribe it.
+std::vector<CellResult> ExperimentRunner::run_cells(
+    const std::vector<std::pair<EsAlgorithm, DsAlgorithm>>& cells, unsigned threads) const {
+  // Run r is cell r / seeds, seed r % seeds. Workers claim the next
+  // unstarted run from a shared index and write only its slot; progress
+  // lines are serialised through a mutex.
+  const std::size_t seeds = seeds_.size();
+  const std::size_t runs = cells.size() * seeds;
+  std::vector<RunMetrics> results(runs);
   std::atomic<std::size_t> next{0};
+  std::mutex progress_mutex;
   auto worker = [&] {
-    while (true) {
-      std::size_t idx = next.fetch_add(1);
-      if (idx >= cells) return;
-      EsAlgorithm es = es_algorithms[idx / ds_algorithms.size()];
-      DsAlgorithm ds = ds_algorithms[idx % ds_algorithms.size()];
-      ExperimentRunner solo(base_, seeds_);
+    for (std::size_t r = next.fetch_add(1); r < runs; r = next.fetch_add(1)) {
+      const auto [es, ds] = cells[r / seeds];
+      SimulationConfig config = base_;
+      config.es = es;
+      config.ds = ds;
+      config.seed = seeds_[r % seeds];
+      results[r] = run_single(config);
       if (progress_) {
-        solo.set_progress([this](const std::string& line) { report_progress(line); });
+        std::lock_guard<std::mutex> lock(progress_mutex);
+        progress_(std::string(to_string(es)) + "+" + to_string(ds) + " seed " +
+                  std::to_string(config.seed) + " done");
       }
-      out[idx] = solo.run_cell(es, ds);
     }
   };
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t workers = std::min<std::size_t>(threads, runs);
+  if (workers <= 1) {
+    worker();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(worker);
+    for (auto& t : pool) t.join();
+  }
+
+  std::vector<CellResult> out;
+  out.reserve(cells.size());
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    out.push_back(fold_cell(cells[c].first, cells[c].second,
+                            std::span(results).subspan(c * seeds, seeds)));
+  }
   return out;
 }
 

@@ -14,7 +14,7 @@
 #pragma once
 
 #include <functional>
-#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -51,53 +51,41 @@ struct CellResult {
 class ExperimentRunner {
  public:
   /// `base` carries everything except es/ds/seed, which are overridden per
-  /// run. Progress (if set) is invoked after every completed run.
+  /// run. Progress (if set) is invoked after every completed run, one call
+  /// at a time even when runs finish on several threads.
   explicit ExperimentRunner(SimulationConfig base, std::vector<std::uint64_t> seeds);
 
   void set_progress(std::function<void(const std::string&)> progress);
 
-  /// Number of worker threads run_cell spreads its seeds over (work
-  /// stealing on a shared index). 1 = serial (the default); 0 = hardware
-  /// concurrency. Serial and parallel runs produce bit-identical
-  /// CellResults: each Grid derives every RNG stream from its own
-  /// config.seed, per-seed metrics land in per-seed slots, and the fold
-  /// walks the slots in seed order regardless of completion order.
-  void set_cell_threads(unsigned threads);
-  [[nodiscard]] unsigned cell_threads() const { return cell_threads_; }
-
   /// Run one simulation (seed taken from the config).
   [[nodiscard]] static RunMetrics run_single(const SimulationConfig& config);
 
-  /// Run one algorithm pair over all seeds and average.
-  [[nodiscard]] CellResult run_cell(EsAlgorithm es, DsAlgorithm ds) const;
+  /// Run one algorithm pair over all seeds and average. `threads` worker
+  /// threads share the seeds: 1 = serial (the default), 0 = hardware
+  /// concurrency.
+  [[nodiscard]] CellResult run_cell(EsAlgorithm es, DsAlgorithm ds,
+                                    unsigned threads = 1) const;
 
-  /// Full grid: one CellResult per (es, ds), es-major order.
+  /// Full grid: one CellResult per (es, ds), es-major order. Every
+  /// (cell, seed) run goes to one pool of `threads` workers, as in run_cell.
   [[nodiscard]] std::vector<CellResult> run_matrix(
       const std::vector<EsAlgorithm>& es_algorithms,
-      const std::vector<DsAlgorithm>& ds_algorithms) const;
-
-  /// Same matrix, with cells distributed over `threads` worker threads.
-  /// Simulations are independent (each Grid owns its whole world and every
-  /// RNG stream derives from the per-run seed), so results are bit-
-  /// identical to the serial runner for any thread count. `threads` == 0
-  /// uses the hardware concurrency. The progress callback (if set) is
-  /// forwarded from every worker, serialised through a mutex.
-  [[nodiscard]] std::vector<CellResult> run_matrix_parallel(
-      const std::vector<EsAlgorithm>& es_algorithms,
-      const std::vector<DsAlgorithm>& ds_algorithms, unsigned threads) const;
+      const std::vector<DsAlgorithm>& ds_algorithms, unsigned threads = 1) const;
 
   [[nodiscard]] const SimulationConfig& base_config() const { return base_; }
   [[nodiscard]] const std::vector<std::uint64_t>& seeds() const { return seeds_; }
 
  private:
-  /// Invoke the progress callback under the mutex (workers race otherwise).
-  void report_progress(const std::string& line) const;
+  /// The one worker pool. Simulations are independent (each Grid owns its
+  /// whole world and derives every RNG stream from its own config.seed) and
+  /// each run writes its own slot; every cell then folds its slots in seed
+  /// order, so results are bit-identical for any thread count.
+  [[nodiscard]] std::vector<CellResult> run_cells(
+      const std::vector<std::pair<EsAlgorithm, DsAlgorithm>>& cells, unsigned threads) const;
 
   SimulationConfig base_;
   std::vector<std::uint64_t> seeds_;
   std::function<void(const std::string&)> progress_;
-  unsigned cell_threads_ = 1;
-  mutable std::mutex progress_mutex_;
 };
 
 /// The paper's default seed triple.

@@ -187,7 +187,6 @@ void Grid::finish_run() {
   metrics_.event_pushes = engine_.queue().total_pushes();
   metrics_.event_cancels = engine_.queue().total_cancels();
   metrics_.peak_heap_size = engine_.queue().peak_heap_size();
-  metrics_.queue_compactions = engine_.queue().compactions();
   const net::TransferStats& ts = transfers_->stats();
   metrics_.transfers_aborted = ts.transfers_aborted;
   metrics_.reallocations = ts.reallocations;

@@ -203,7 +203,6 @@ void JobLifecycle::try_start_jobs(data::SiteIndex s) {
     bool acquired = site.compute().acquire(engine_.now());
     CHICSIM_ASSERT(acquired);
     site.remove_from_queue(next);
-    site.note_job_started();
     site::Job& job = job_mut(next);
     CHICSIM_ASSERT(job.state == site::JobState::Queued && job.data_ready());
     job.state = site::JobState::Running;
@@ -298,7 +297,6 @@ void JobLifecycle::on_site_crashed(data::SiteIndex s) {
         (void)engine_.cancel(event);
         compute_events_[id - 1] = sim::kNoEvent;
         sites_[s].compute().release(engine_.now());
-        sites_[s].note_job_killed();
         break;
       }
       case site::JobState::ReturningOutput: {

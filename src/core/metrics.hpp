@@ -82,8 +82,7 @@ struct RunMetrics {
   std::uint64_t events_executed = 0;
   std::uint64_t event_pushes = 0;       ///< calendar inserts over the run
   std::uint64_t event_cancels = 0;      ///< calendar cancels over the run
-  std::uint64_t peak_heap_size = 0;     ///< largest physical calendar heap
-  std::uint64_t queue_compactions = 0;  ///< tombstone compactions performed
+  std::uint64_t peak_heap_size = 0;     ///< most events ever pending at once
   std::uint64_t reallocations = 0;          ///< TransferManager::reallocate calls
   std::uint64_t flows_rescheduled = 0;      ///< ETAs re-derived because the rate changed
 };

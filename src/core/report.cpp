@@ -34,9 +34,7 @@ std::string render_run_summary(const RunMetrics& m) {
   line("events executed", std::to_string(m.events_executed));
   line("calendar pushes/cancels",
        std::to_string(m.event_pushes) + " / " + std::to_string(m.event_cancels));
-  line("peak calendar heap",
-       std::to_string(m.peak_heap_size) + " (" + std::to_string(m.queue_compactions) +
-           " compactions)");
+  line("peak calendar heap", std::to_string(m.peak_heap_size));
   line("reallocations", std::to_string(m.reallocations) + " (rescheduled " +
                             std::to_string(m.flows_rescheduled) + ")");
   // Fault/recovery block only when something actually went wrong; a

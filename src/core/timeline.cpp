@@ -44,7 +44,7 @@ void TimelineRecorder::sample_now() {
   for (data::SiteIndex i = 0; i < grid_.site_count(); ++i) {
     const site::Site& site = grid_.site_at(i);
     s.jobs_queued += site.load();
-    s.jobs_running += site.running_count();
+    s.jobs_running += site.compute().busy();
     s.max_site_queue = std::max(s.max_site_queue, site.load());
     busy += site.compute().busy();
     total += site.compute().size();

@@ -138,8 +138,7 @@ std::vector<std::size_t> assign_lanes(std::vector<ComputeInterval>& intervals) {
 void write_chrome_trace(std::ostream& out, const SpanBuilder& spans,
                         const net::Topology& topology, std::size_t site_count,
                         const net::Routing* routing,
-                        const std::vector<TimelineSample>& timeline,
-                        const TraceExportOptions& options) {
+                        const std::vector<TimelineSample>& timeline) {
   const auto network_pid = static_cast<std::uint64_t>(site_count);
   const auto grid_pid = static_cast<std::uint64_t>(site_count + 1);
 
@@ -155,7 +154,7 @@ void write_chrome_trace(std::ostream& out, const SpanBuilder& spans,
     write_metadata(w, "thread_name", s, 0, "jobs", /*with_tid=*/true);
   }
   write_metadata(w, "process_name", network_pid, 0, "network", /*with_tid=*/false);
-  if (!timeline.empty() && options.grid_counters) {
+  if (!timeline.empty()) {
     write_metadata(w, "process_name", grid_pid, 0, "grid", /*with_tid=*/false);
   }
 
@@ -233,7 +232,7 @@ void write_chrome_trace(std::ostream& out, const SpanBuilder& spans,
   }
 
   // --- per-link concurrent-flow counters ---
-  if (routing != nullptr && options.link_counters) {
+  if (routing != nullptr) {
     // Merge +1/-1 deltas per link over time, then emit the running level.
     std::map<net::LinkId, std::map<double, int>> deltas;
     for (const TransferSpan& t : spans.transfers()) {
@@ -290,7 +289,7 @@ void write_chrome_trace(std::ostream& out, const SpanBuilder& spans,
   }
 
   // --- grid-wide counters from the timeline ---
-  if (!timeline.empty() && options.grid_counters) {
+  if (!timeline.empty()) {
     for (const TimelineSample& s : timeline) {
       double ts = s.time * kSecondsToMicros;
       write_counter(w, "jobs", grid_pid, ts,

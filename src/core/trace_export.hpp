@@ -30,20 +30,12 @@
 
 namespace chicsim::core {
 
-struct TraceExportOptions {
-  /// Emit per-link flow-count counter tracks (needs `routing`).
-  bool link_counters = true;
-  /// Emit grid-wide counter tracks from the timeline samples.
-  bool grid_counters = true;
-};
-
 /// Write the full trace. `topology` names sites and links; `routing` may be
 /// nullptr, which drops the per-link counter tracks; `timeline` may be
 /// empty, which drops the grid counter tracks.
 void write_chrome_trace(std::ostream& out, const SpanBuilder& spans,
                         const net::Topology& topology, std::size_t site_count,
                         const net::Routing* routing,
-                        const std::vector<TimelineSample>& timeline,
-                        const TraceExportOptions& options = {});
+                        const std::vector<TimelineSample>& timeline);
 
 }  // namespace chicsim::core

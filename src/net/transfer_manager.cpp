@@ -12,9 +12,9 @@ namespace {
 /// Residual bytes below this are considered delivered (floating-point slack
 /// accumulated across settle steps; 1 KB on multi-hundred-MB files).
 constexpr util::Megabytes kResidualTolMb = 1e-3;
-/// Tables smaller than this never compact. The value follows EventQueue's
-/// kCompactionMinHeap; docs/architecture.md gives the measurements against
-/// 8 and 512. tests/net/test_transfer_manager.cpp mirrors it.
+/// Tables smaller than this never compact. docs/architecture.md gives the
+/// measurements against 8 and 512. tests/net/test_transfer_manager.cpp
+/// mirrors it.
 constexpr std::size_t kCompactMinSlots = 64;
 }  // namespace
 

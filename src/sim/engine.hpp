@@ -67,8 +67,8 @@ class Engine {
   /// Number of events currently pending.
   [[nodiscard]] std::size_t events_pending() const { return queue_.size(); }
 
-  /// The underlying calendar, for its performance counters (peak heap size,
-  /// tombstone count, compactions).
+  /// The underlying calendar, for its performance counters (pushes, cancels,
+  /// peak pending events).
   [[nodiscard]] const EventQueue& queue() const { return queue_; }
 
   /// Attach a wall-clock profiler (nullptr detaches). While attached,

@@ -1,107 +1,97 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/error.hpp"
 
 namespace chicsim::sim {
 
-bool EventQueue::before(const Event& a, const Event& b) {
+bool EventQueue::before(const Entry& a, const Entry& b) {
   if (a.time != b.time) return a.time < b.time;
   return a.id < b.id;
 }
 
 void EventQueue::push(Event event) {
   CHICSIM_ASSERT_MSG(event.id != kNoEvent, "event id must be non-zero");
-  CHICSIM_ASSERT_MSG(pending_.find(event.id) == pending_.end() &&
-                         cancelled_.find(event.id) == cancelled_.end(),
-                     "duplicate event id");
-  pending_.insert(event.id);
-  heap_.push_back(std::move(event));
-  sift_up(heap_.size() - 1);
+  const std::size_t slot = free_slots_.empty() ? slots_.size() : free_slots_.back();
+  const bool fresh = slot_of_.try_emplace(event.id, slot).second;
+  CHICSIM_ASSERT_MSG(fresh, "duplicate event id");
+  if (slot == slots_.size()) {
+    slots_.emplace_back();
+  } else {
+    free_slots_.pop_back();
+  }
+  slots_[slot].fn = std::move(event.fn);
+  slots_[slot].tag = event.tag;
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, Entry{event.time, event.id, slot});
   ++total_pushes_;
-  if (heap_.size() > peak_heap_size_) peak_heap_size_ = heap_.size();
+  peak_heap_size_ = std::max(peak_heap_size_, heap_.size());
 }
 
 bool EventQueue::cancel(EventId id) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return false;
-  pending_.erase(it);
-  cancelled_.insert(id);
+  auto it = slot_of_.find(id);
+  if (it == slot_of_.end()) return false;
+  (void)take(it);
   ++total_cancels_;
-  // Keep the heap O(live events): once the dead weight outnumbers the live
-  // entries, rebuild without it. Each compaction at least halves the heap,
-  // so the O(n) rebuild amortizes to O(1) per cancel.
-  if (cancelled_.size() > pending_.size() && heap_.size() >= kCompactionMinHeap) {
-    compact();
-  }
   return true;
 }
 
-util::SimTime EventQueue::next_time() {
+util::SimTime EventQueue::next_time() const {
   CHICSIM_ASSERT_MSG(!empty(), "next_time on empty queue");
-  drop_cancelled_top();
   return heap_.front().time;
 }
 
 Event EventQueue::pop() {
   CHICSIM_ASSERT_MSG(!empty(), "pop on empty queue");
-  drop_cancelled_top();
-  Event top = std::move(heap_.front());
-  heap_.front() = std::move(heap_.back());
+  return take(slot_of_.find(heap_.front().id));
+}
+
+Event EventQueue::take(SlotMap::iterator it) {
+  const std::size_t slot = it->second;
+  slot_of_.erase(it);
+  free_slots_.push_back(slot);
+  const std::size_t pos = slots_[slot].pos;
+  Event event{heap_[pos].time, heap_[pos].id, std::move(slots_[slot].fn), slots_[slot].tag};
+  const Entry last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
-  pending_.erase(top.id);
-  return top;
-}
-
-void EventQueue::drop_cancelled_top() {
-  while (!heap_.empty()) {
-    auto it = cancelled_.find(heap_.front().id);
-    if (it == cancelled_.end()) return;
-    cancelled_.erase(it);
-    heap_.front() = std::move(heap_.back());
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
+  if (pos < heap_.size()) {
+    if (pos > 0 && before(last, heap_[(pos - 1) / 2])) {
+      sift_up(pos, last);
+    } else {
+      sift_down(pos, last);
+    }
   }
-  CHICSIM_ASSERT_MSG(false, "drop_cancelled_top exhausted heap while events were pending");
+  return event;
 }
 
-void EventQueue::compact() {
-  std::size_t live = 0;
-  for (std::size_t i = 0; i < heap_.size(); ++i) {
-    if (cancelled_.find(heap_[i].id) != cancelled_.end()) continue;
-    if (live != i) heap_[live] = std::move(heap_[i]);
-    ++live;
+void EventQueue::place(std::size_t pos, const Entry& e) {
+  heap_[pos] = e;
+  slots_[e.slot].pos = pos;
+}
+
+void EventQueue::sift_up(std::size_t pos, const Entry& e) {
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!before(e, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
   }
-  heap_.resize(live);
-  cancelled_.clear();
-  // Floyd heapify: restore the heap property bottom-up in O(n).
-  for (std::size_t i = live / 2; i-- > 0;) sift_down(i);
-  ++compactions_;
+  place(pos, e);
 }
 
-void EventQueue::sift_up(std::size_t i) {
-  while (i > 0) {
-    std::size_t parent = (i - 1) / 2;
-    if (!before(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
-  }
-}
-
-void EventQueue::sift_down(std::size_t i) {
+void EventQueue::sift_down(std::size_t pos, const Entry& e) {
   const std::size_t n = heap_.size();
   while (true) {
-    std::size_t left = 2 * i + 1;
-    std::size_t right = left + 1;
-    std::size_t smallest = i;
-    if (left < n && before(heap_[left], heap_[smallest])) smallest = left;
-    if (right < n && before(heap_[right], heap_[smallest])) smallest = right;
-    if (smallest == i) return;
-    std::swap(heap_[i], heap_[smallest]);
-    i = smallest;
+    std::size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+    if (!before(heap_[child], e)) break;
+    place(pos, heap_[child]);
+    pos = child;
   }
+  place(pos, e);
 }
 
 }  // namespace chicsim::sim

@@ -34,17 +34,4 @@ std::vector<JobId> Site::drain_queue() {
   return out;
 }
 
-void Site::note_job_started() { ++running_; }
-
-void Site::note_job_finished() {
-  CHICSIM_ASSERT_MSG(running_ > 0, "job finished with none running");
-  --running_;
-  ++completed_;
-}
-
-void Site::note_job_killed() {
-  CHICSIM_ASSERT_MSG(running_ > 0, "job killed with none running");
-  --running_;
-}
-
 }  // namespace chicsim::site

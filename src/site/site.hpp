@@ -58,18 +58,11 @@ class Site {
   /// least number of jobs waiting to run" — queued jobs not yet running.
   [[nodiscard]] std::size_t load() const { return queue_.size(); }
 
-  /// Jobs currently running here (for utilization sanity checks).
-  [[nodiscard]] std::size_t running_count() const { return running_; }
-  void note_job_started();
-  void note_job_finished();
-  /// A running job was lost to a site crash: releases the running slot
-  /// without counting a completion.
-  void note_job_killed();
-
-  /// Lifetime counters.
+  /// Lifetime counters. Jobs running right now are compute().busy().
   [[nodiscard]] std::uint64_t jobs_dispatched_here() const { return dispatched_; }
   [[nodiscard]] std::uint64_t jobs_completed_here() const { return completed_; }
   void note_job_dispatched() { ++dispatched_; }
+  void note_job_finished() { ++completed_; }
 
  private:
   data::SiteIndex index_;
@@ -79,7 +72,6 @@ class Site {
   data::StorageManager storage_;
   data::PopularityTracker popularity_;
   std::deque<JobId> queue_;
-  std::size_t running_ = 0;
   std::uint64_t dispatched_ = 0;
   std::uint64_t completed_ = 0;
 };

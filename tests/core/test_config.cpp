@@ -145,6 +145,13 @@ TEST(Config, DescribeMentionsEveryKnob) {
   }
 }
 
+TEST(Config, DescribeShowsPopularityHalfLife) {
+  SimulationConfig cfg;
+  cfg.apply(util::ConfigFile::parse("popularity_half_life_s = 3600\n"));
+  EXPECT_NE(cfg.describe().find("popularity_half_life_s = 3600.0"), std::string::npos)
+      << cfg.describe();
+}
+
 TEST(Config, StalenessDefaultIsDocumentedValue) {
   SimulationConfig cfg;
   EXPECT_DOUBLE_EQ(cfg.info_staleness_s, 120.0);

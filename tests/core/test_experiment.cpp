@@ -75,7 +75,7 @@ TEST(Experiment, ParallelMatrixIsBitIdenticalToSerial) {
   std::vector<DsAlgorithm> ds{DsAlgorithm::DataDoNothing, DsAlgorithm::DataRandom};
   auto serial = runner.run_matrix(es, ds);
   for (unsigned threads : {1u, 2u, 3u, 7u}) {
-    auto parallel = runner.run_matrix_parallel(es, ds, threads);
+    auto parallel = runner.run_matrix(es, ds, threads);
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(parallel[i].es, serial[i].es);
@@ -89,8 +89,8 @@ TEST(Experiment, ParallelMatrixIsBitIdenticalToSerial) {
 }
 
 TEST(Experiment, ParallelMatrixForwardsProgress) {
-  // Regression: run_matrix_parallel used to silently drop the progress
-  // callback. It now forwards per-seed progress from every worker,
+  // Regression: the threaded matrix once silently dropped the progress
+  // callback. It now reports per-seed progress from every worker,
   // serialised through a mutex.
   ExperimentRunner runner(tiny_config(), {1, 2});
   std::atomic<int> calls{0};
@@ -98,32 +98,30 @@ TEST(Experiment, ParallelMatrixForwardsProgress) {
     EXPECT_FALSE(line.empty());
     ++calls;
   });
-  auto cells = runner.run_matrix_parallel(
+  auto cells = runner.run_matrix(
       {EsAlgorithm::JobLocal}, {DsAlgorithm::DataDoNothing, DsAlgorithm::DataRandom}, 2);
   ASSERT_EQ(cells.size(), 2u);
   EXPECT_EQ(calls.load(), 4);  // 2 cells x 2 seeds
 }
 
-TEST(Experiment, CellThreadsProgressFiresPerSeed) {
+TEST(Experiment, ThreadedCellProgressFiresPerSeed) {
   ExperimentRunner runner(tiny_config(), {1, 2, 3});
-  runner.set_cell_threads(3);
   std::atomic<int> calls{0};
   runner.set_progress([&](const std::string&) { ++calls; });
-  (void)runner.run_cell(EsAlgorithm::JobLocal, DsAlgorithm::DataDoNothing);
+  (void)runner.run_cell(EsAlgorithm::JobLocal, DsAlgorithm::DataDoNothing, 3);
   EXPECT_EQ(calls.load(), 3);
 }
 
 TEST(Experiment, ParallelZeroThreadsUsesHardwareConcurrency) {
   ExperimentRunner runner(tiny_config(), {1});
-  auto cells = runner.run_matrix_parallel({EsAlgorithm::JobLocal},
-                                          {DsAlgorithm::DataDoNothing}, 0);
+  auto cells = runner.run_matrix({EsAlgorithm::JobLocal}, {DsAlgorithm::DataDoNothing}, 0);
   ASSERT_EQ(cells.size(), 1u);
   EXPECT_EQ(cells[0].seeds_run, 1u);
 }
 
 TEST(Experiment, ParallelEmptyMatrixIsEmpty) {
   ExperimentRunner runner(tiny_config(), {1});
-  EXPECT_TRUE(runner.run_matrix_parallel({}, {}, 4).empty());
+  EXPECT_TRUE(runner.run_matrix({}, {}, 4).empty());
 }
 
 TEST(Experiment, SeedsMustBeNonEmpty) {

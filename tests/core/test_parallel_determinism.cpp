@@ -3,9 +3,9 @@
 // These tests are the `tsan` ctest label: a thread-sanitized build
 // (-DCHICSIM_SANITIZE=thread) runs exactly this binary plus the
 // fault-injection suite, so every assertion here doubles as a race
-// detector drive of the work-stealing paths (run_matrix_parallel's shared
-// cell index, run_cell's per-seed worker pool, the mutex-serialised
-// progress callback).
+// detector drive of ExperimentRunner's one worker pool (the shared run
+// index, the per-run result slots, the mutex-serialised progress callback)
+// through both run_matrix and run_cell.
 //
 // They are also the regression tests for the determinism fix that ordered
 // TransferManager::flows_ by TransferId: before that fix the trajectory
@@ -85,7 +85,6 @@ void expect_bit_identical(const RunMetrics& a, const RunMetrics& b) {
   EXPECT_EQ(a.event_pushes, b.event_pushes);
   EXPECT_EQ(a.event_cancels, b.event_cancels);
   EXPECT_EQ(a.peak_heap_size, b.peak_heap_size);
-  EXPECT_EQ(a.queue_compactions, b.queue_compactions);
   EXPECT_EQ(a.reallocations, b.reallocations);
   EXPECT_EQ(a.flows_rescheduled, b.flows_rescheduled);
 }
@@ -113,26 +112,22 @@ void expect_cells_bit_identical(const std::vector<CellResult>& serial,
 TEST(ParallelDeterminism, MatrixParallelIsBitIdenticalToSerial) {
   ExperimentRunner runner(smoke_config(), {101, 202});
   auto serial = runner.run_matrix(paper_es_algorithms(), paper_ds_algorithms());
-  auto parallel =
-      runner.run_matrix_parallel(paper_es_algorithms(), paper_ds_algorithms(), 4);
+  auto parallel = runner.run_matrix(paper_es_algorithms(), paper_ds_algorithms(), 4);
   expect_cells_bit_identical(serial, parallel);
 }
 
 TEST(ParallelDeterminism, MatrixParallelUnderFaultsIsBitIdenticalToSerial) {
   ExperimentRunner runner(faulty_config(), {101, 202});
   auto serial = runner.run_matrix(paper_es_algorithms(), paper_ds_algorithms());
-  auto parallel =
-      runner.run_matrix_parallel(paper_es_algorithms(), paper_ds_algorithms(), 4);
+  auto parallel = runner.run_matrix(paper_es_algorithms(), paper_ds_algorithms(), 4);
   expect_cells_bit_identical(serial, parallel);
 }
 
 TEST(ParallelDeterminism, PerSeedWorkStealingFoldIsBitIdentical) {
-  ExperimentRunner serial(smoke_config(), {101, 202, 303, 404});
-  ExperimentRunner threaded(smoke_config(), {101, 202, 303, 404});
-  threaded.set_cell_threads(4);
+  ExperimentRunner runner(smoke_config(), {101, 202, 303, 404});
   for (EsAlgorithm es : {EsAlgorithm::JobDataPresent, EsAlgorithm::JobLocal}) {
-    auto a = serial.run_cell(es, DsAlgorithm::DataRandom);
-    auto b = threaded.run_cell(es, DsAlgorithm::DataRandom);
+    auto a = runner.run_cell(es, DsAlgorithm::DataRandom);
+    auto b = runner.run_cell(es, DsAlgorithm::DataRandom, 4);
     EXPECT_EQ(a.avg_response_time_s, b.avg_response_time_s);
     EXPECT_EQ(a.response_cv, b.response_cv);
     ASSERT_EQ(a.per_seed.size(), b.per_seed.size());
@@ -143,13 +138,12 @@ TEST(ParallelDeterminism, PerSeedWorkStealingFoldIsBitIdentical) {
 }
 
 TEST(ParallelDeterminism, ParallelRunCellBitIdenticalToSerial) {
-  ExperimentRunner serial(smoke_config(), {11, 12, 13, 14});
-  CellResult reference = serial.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataRandom);
+  ExperimentRunner runner(smoke_config(), {11, 12, 13, 14});
+  CellResult reference = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataRandom);
 
   for (unsigned threads : {2u, 3u, 8u, 0u}) {
-    ExperimentRunner parallel(smoke_config(), {11, 12, 13, 14});
-    parallel.set_cell_threads(threads);
-    CellResult cell = parallel.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataRandom);
+    CellResult cell =
+        runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataRandom, threads);
     EXPECT_EQ(cell.seeds_run, reference.seeds_run);
     EXPECT_EQ(cell.avg_response_time_s, reference.avg_response_time_s);
     EXPECT_EQ(cell.avg_data_per_job_mb, reference.avg_data_per_job_mb);
@@ -171,8 +165,7 @@ TEST(ParallelDeterminism, ConcurrentProgressReportsEveryRunExactlyOnce) {
     std::lock_guard<std::mutex> lock(mu);
     lines.push_back(line);
   });
-  auto cells =
-      runner.run_matrix_parallel(paper_es_algorithms(), paper_ds_algorithms(), 4);
+  auto cells = runner.run_matrix(paper_es_algorithms(), paper_ds_algorithms(), 4);
   ASSERT_EQ(cells.size(), 12u);
   // One progress line per (cell, seed) — none lost, none duplicated.
   EXPECT_EQ(lines.size(), 24u);

