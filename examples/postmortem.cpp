@@ -32,8 +32,8 @@ int main(int argc, char** argv) {
     core::SimulationConfig cfg;
     cfg.total_jobs = static_cast<std::size_t>(cli.get_int("jobs"));
     cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    cfg.es = core::es_from_string(cli.get("es"));
-    cfg.ds = core::ds_from_string(cli.get("ds"));
+    cfg.es = core::from_string<core::EsAlgorithm>(cli.get("es"));
+    cfg.ds = core::from_string<core::DsAlgorithm>(cli.get("ds"));
     cfg.validate();
 
     core::Grid grid(cfg);

@@ -26,15 +26,15 @@ int main(int argc, char** argv) {
     if (!cli.parse(argc, argv)) return 0;
 
     core::SimulationConfig config;
-    config.es = core::es_from_string(cli.get("es"));
-    config.ds = core::ds_from_string(cli.get("ds"));
+    config.es = core::from_string<core::EsAlgorithm>(cli.get("es"));
+    config.ds = core::from_string<core::DsAlgorithm>(cli.get("ds"));
     config.link_bandwidth_mbps = cli.get_double("bandwidth");
     config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     config.total_jobs = static_cast<std::size_t>(cli.get_int("jobs"));
     config.info_staleness_s = cli.get_double("staleness");
     config.validate();
 
-    std::printf("%s\n\n", config.describe().c_str());
+    std::printf("%s\n", config.describe().c_str());
 
     core::Grid grid(config);
     grid.run();

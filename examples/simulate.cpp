@@ -7,7 +7,9 @@
 //   ./simulate --config ... --metrics-csv out.csv --timeline-csv tl.csv
 //
 // Config keys mirror the SimulationConfig field names — see
-// examples/scenarios/table1.cfg for a fully commented scenario.
+// examples/scenarios/table1.cfg for a fully commented scenario. The config
+// block printed first lists every key and is itself a valid config file.
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -21,7 +23,7 @@
 #include "sim/profiler.hpp"
 #include "util/cli.hpp"
 #include "util/config_file.hpp"
-#include "util/string_util.hpp"
+#include "util/error.hpp"
 
 int main(int argc, char** argv) {
   using namespace chicsim;
@@ -46,20 +48,11 @@ int main(int argc, char** argv) {
       cfg.apply(util::ConfigFile::load(config_path));
     }
     std::string overrides = cli.get("set");
-    if (!overrides.empty()) {
-      util::ConfigFile inline_cfg;
-      for (const auto& pair : util::split(overrides, ';')) {
-        auto eq = pair.find('=');
-        if (eq == std::string::npos) {
-          throw util::SimError("--set expects key=value pairs separated by ';'");
-        }
-        inline_cfg.set(util::trim(pair.substr(0, eq)), util::trim(pair.substr(eq + 1)));
-      }
-      cfg.apply(inline_cfg);
-    }
+    std::replace(overrides.begin(), overrides.end(), ';', '\n');
+    cfg.apply(util::ConfigFile::parse(overrides));
     cfg.validate();
 
-    std::printf("%s\n\n", cfg.describe().c_str());
+    std::printf("%s\n", cfg.describe().c_str());
     core::Grid grid(cfg);
 
     std::unique_ptr<core::TimelineRecorder> timeline;

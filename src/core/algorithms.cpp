@@ -1,136 +1,93 @@
 #include "core/algorithms.hpp"
 
-#include "util/error.hpp"
-#include "util/string_util.hpp"
+#include "net/transfer_manager.hpp"
 
 namespace chicsim::core {
 
-const char* to_string(EsAlgorithm a) {
-  switch (a) {
-    case EsAlgorithm::JobRandom: return "JobRandom";
-    case EsAlgorithm::JobLeastLoaded: return "JobLeastLoaded";
-    case EsAlgorithm::JobDataPresent: return "JobDataPresent";
-    case EsAlgorithm::JobLocal: return "JobLocal";
-    case EsAlgorithm::JobAdaptive: return "JobAdaptive";
-    case EsAlgorithm::JobBestEstimate: return "JobBestEstimate";
-  }
-  return "?";
+template <>
+std::span<const EnumName<EsAlgorithm>> names<EsAlgorithm>() {
+  using enum EsAlgorithm;
+  static constexpr EnumName<EsAlgorithm> table[] = {
+      {JobRandom, "JobRandom"}, {JobLeastLoaded, "JobLeastLoaded"},
+      {JobDataPresent, "JobDataPresent"}, {JobLocal, "JobLocal"}, {JobAdaptive, "JobAdaptive"},
+      {JobBestEstimate, "JobBestEstimate"}};
+  return table;
 }
 
-const char* to_string(DsAlgorithm a) {
-  switch (a) {
-    case DsAlgorithm::DataDoNothing: return "DataDoNothing";
-    case DsAlgorithm::DataRandom: return "DataRandom";
-    case DsAlgorithm::DataLeastLoaded: return "DataLeastLoaded";
-    case DsAlgorithm::DataBestClient: return "DataBestClient";
-    case DsAlgorithm::DataFastSpread: return "DataFastSpread";
-  }
-  return "?";
+template <>
+std::span<const EnumName<DsAlgorithm>> names<DsAlgorithm>() {
+  using enum DsAlgorithm;
+  static constexpr EnumName<DsAlgorithm> table[] = {
+      {DataDoNothing, "DataDoNothing"}, {DataRandom, "DataRandom"},
+      {DataLeastLoaded, "DataLeastLoaded"}, {DataBestClient, "DataBestClient"},
+      {DataFastSpread, "DataFastSpread"}};
+  return table;
 }
 
-const char* to_string(LsAlgorithm a) {
-  switch (a) {
-    case LsAlgorithm::Fifo: return "Fifo";
-    case LsAlgorithm::FifoSkip: return "FifoSkip";
-    case LsAlgorithm::Sjf: return "Sjf";
-  }
-  return "?";
+template <>
+std::span<const EnumName<LsAlgorithm>> names<LsAlgorithm>() {
+  using enum LsAlgorithm;
+  static constexpr EnumName<LsAlgorithm> table[] = {
+      {Fifo, "Fifo"}, {FifoSkip, "FifoSkip"}, {Sjf, "Sjf"}};
+  return table;
 }
 
-const char* to_string(ReplicaSelection a) {
-  switch (a) {
-    case ReplicaSelection::Closest: return "Closest";
-    case ReplicaSelection::Random: return "Random";
-    case ReplicaSelection::LeastLoadedSource: return "LeastLoadedSource";
-  }
-  return "?";
+template <>
+std::span<const EnumName<EsMapping>> names<EsMapping>() {
+  using enum EsMapping;
+  static constexpr EnumName<EsMapping> table[] = {
+      {Distributed, "Distributed"}, {Centralized, "Centralized"}};
+  return table;
 }
 
-const char* to_string(NeighborScope a) {
-  switch (a) {
-    case NeighborScope::Grid: return "Grid";
-    case NeighborScope::Region: return "Region";
-  }
-  return "?";
+template <>
+std::span<const EnumName<TopologyKind>> names<TopologyKind>() {
+  using enum TopologyKind;
+  static constexpr EnumName<TopologyKind> table[] = {
+      {Hierarchy, "Hierarchy"}, {Star, "Star"}};
+  return table;
 }
 
-const char* to_string(EsMapping a) {
-  switch (a) {
-    case EsMapping::Distributed: return "Distributed";
-    case EsMapping::Centralized: return "Centralized";
-  }
-  return "?";
+template <>
+std::span<const EnumName<SubmissionMode>> names<SubmissionMode>() {
+  using enum SubmissionMode;
+  static constexpr EnumName<SubmissionMode> table[] = {
+      {ClosedLoop, "ClosedLoop"}, {OpenLoop, "OpenLoop"}};
+  return table;
 }
 
-const char* to_string(SubmissionMode a) {
-  switch (a) {
-    case SubmissionMode::ClosedLoop: return "ClosedLoop";
-    case SubmissionMode::OpenLoop: return "OpenLoop";
-  }
-  return "?";
+template <>
+std::span<const EnumName<NeighborScope>> names<NeighborScope>() {
+  using enum NeighborScope;
+  static constexpr EnumName<NeighborScope> table[] = {
+      {Grid, "Grid"}, {Region, "Region"}};
+  return table;
 }
 
-const char* to_string(TopologyKind a) {
-  switch (a) {
-    case TopologyKind::Hierarchy: return "Hierarchy";
-    case TopologyKind::Star: return "Star";
-  }
-  return "?";
+template <>
+std::span<const EnumName<ReplicaSelection>> names<ReplicaSelection>() {
+  using enum ReplicaSelection;
+  static constexpr EnumName<ReplicaSelection> table[] = {
+      {Closest, "Closest"}, {Random, "Random"}, {LeastLoadedSource, "LeastLoadedSource"}};
+  return table;
+}
+
+template <>
+std::span<const EnumName<net::SharePolicy>> names<net::SharePolicy>() {
+  using enum net::SharePolicy;
+  static constexpr EnumName<net::SharePolicy> table[] = {
+      {EqualShare, "EqualShare"}, {MaxMin, "MaxMin"}, {NoContention, "NoContention"}};
+  return table;
 }
 
 namespace {
-template <typename Enum>
-Enum parse_enum(const std::string& name, const std::vector<Enum>& values,
-                const char* family) {
-  std::string lowered = util::to_lower(name);
-  for (Enum v : values) {
-    if (util::to_lower(to_string(v)) == lowered) return v;
-  }
-  throw util::SimError(std::string("unknown ") + family + " algorithm: " + name);
+template <typename E>
+std::vector<E> values() {
+  std::vector<E> out;
+  for (const EnumName<E>& row : names<E>()) out.push_back(row.value);
+  return out;
 }
 }  // namespace
-
-EsAlgorithm es_from_string(const std::string& name) {
-  return parse_enum(name, all_es_algorithms(), "external-scheduler");
-}
-
-DsAlgorithm ds_from_string(const std::string& name) {
-  return parse_enum(name, all_ds_algorithms(), "dataset-scheduler");
-}
-
-LsAlgorithm ls_from_string(const std::string& name) {
-  static const std::vector<LsAlgorithm> all{LsAlgorithm::Fifo, LsAlgorithm::FifoSkip,
-                                            LsAlgorithm::Sjf};
-  return parse_enum(name, all, "local-scheduler");
-}
-
-ReplicaSelection replica_selection_from_string(const std::string& name) {
-  static const std::vector<ReplicaSelection> all{
-      ReplicaSelection::Closest, ReplicaSelection::Random,
-      ReplicaSelection::LeastLoadedSource};
-  return parse_enum(name, all, "replica-selection");
-}
-
-NeighborScope neighbor_scope_from_string(const std::string& name) {
-  static const std::vector<NeighborScope> all{NeighborScope::Grid, NeighborScope::Region};
-  return parse_enum(name, all, "neighbor-scope");
-}
-
-EsMapping es_mapping_from_string(const std::string& name) {
-  static const std::vector<EsMapping> all{EsMapping::Distributed, EsMapping::Centralized};
-  return parse_enum(name, all, "es-mapping");
-}
-
-SubmissionMode submission_mode_from_string(const std::string& name) {
-  static const std::vector<SubmissionMode> all{SubmissionMode::ClosedLoop,
-                                               SubmissionMode::OpenLoop};
-  return parse_enum(name, all, "submission-mode");
-}
-
-TopologyKind topology_kind_from_string(const std::string& name) {
-  static const std::vector<TopologyKind> all{TopologyKind::Hierarchy, TopologyKind::Star};
-  return parse_enum(name, all, "topology-kind");
-}
 
 const std::vector<EsAlgorithm>& paper_es_algorithms() {
   static const std::vector<EsAlgorithm> v{
@@ -146,16 +103,12 @@ const std::vector<DsAlgorithm>& paper_ds_algorithms() {
 }
 
 const std::vector<EsAlgorithm>& all_es_algorithms() {
-  static const std::vector<EsAlgorithm> v{
-      EsAlgorithm::JobRandom,   EsAlgorithm::JobLeastLoaded, EsAlgorithm::JobDataPresent,
-      EsAlgorithm::JobLocal,    EsAlgorithm::JobAdaptive,    EsAlgorithm::JobBestEstimate};
+  static const std::vector<EsAlgorithm> v = values<EsAlgorithm>();
   return v;
 }
 
 const std::vector<DsAlgorithm>& all_ds_algorithms() {
-  static const std::vector<DsAlgorithm> v{
-      DsAlgorithm::DataDoNothing, DsAlgorithm::DataRandom, DsAlgorithm::DataLeastLoaded,
-      DsAlgorithm::DataBestClient, DsAlgorithm::DataFastSpread};
+  static const std::vector<DsAlgorithm> v = values<DsAlgorithm>();
   return v;
 }
 

@@ -3,8 +3,18 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
+
+#include "util/error.hpp"
+#include "util/string_util.hpp"
+
+namespace chicsim::net {
+enum class SharePolicy : std::uint8_t;  // net/transfer_manager.hpp
+}
 
 namespace chicsim::core {
 
@@ -72,24 +82,48 @@ enum class ReplicaSelection : std::uint8_t {
   LeastLoadedSource,  ///< holder with the fewest waiting jobs
 };
 
-[[nodiscard]] const char* to_string(EsAlgorithm a);
-[[nodiscard]] const char* to_string(DsAlgorithm a);
-[[nodiscard]] const char* to_string(LsAlgorithm a);
-[[nodiscard]] const char* to_string(ReplicaSelection a);
-[[nodiscard]] const char* to_string(NeighborScope a);
-[[nodiscard]] const char* to_string(EsMapping a);
-[[nodiscard]] const char* to_string(SubmissionMode a);
-[[nodiscard]] const char* to_string(TopologyKind a);
+/// One row of an enum's name table.
+template <typename E>
+struct EnumName {
+  E value;
+  const char* name;
+};
 
-/// Case-insensitive parse; throws util::SimError on unknown names.
-[[nodiscard]] EsAlgorithm es_from_string(const std::string& name);
-[[nodiscard]] DsAlgorithm ds_from_string(const std::string& name);
-[[nodiscard]] LsAlgorithm ls_from_string(const std::string& name);
-[[nodiscard]] ReplicaSelection replica_selection_from_string(const std::string& name);
-[[nodiscard]] NeighborScope neighbor_scope_from_string(const std::string& name);
-[[nodiscard]] EsMapping es_mapping_from_string(const std::string& name);
-[[nodiscard]] SubmissionMode submission_mode_from_string(const std::string& name);
-[[nodiscard]] TopologyKind topology_kind_from_string(const std::string& name);
+/// Each enum's {value, name} table in declaration order: the one place a
+/// value's name is spelled. Specialised in algorithms.cpp for the enums
+/// above and net::SharePolicy.
+template <typename E>
+[[nodiscard]] std::span<const EnumName<E>> names();
+template <> std::span<const EnumName<EsAlgorithm>> names<EsAlgorithm>();
+template <> std::span<const EnumName<DsAlgorithm>> names<DsAlgorithm>();
+template <> std::span<const EnumName<LsAlgorithm>> names<LsAlgorithm>();
+template <> std::span<const EnumName<EsMapping>> names<EsMapping>();
+template <> std::span<const EnumName<TopologyKind>> names<TopologyKind>();
+template <> std::span<const EnumName<SubmissionMode>> names<SubmissionMode>();
+template <> std::span<const EnumName<NeighborScope>> names<NeighborScope>();
+template <> std::span<const EnumName<ReplicaSelection>> names<ReplicaSelection>();
+template <> std::span<const EnumName<net::SharePolicy>> names<net::SharePolicy>();
+
+template <typename E>
+  requires std::is_enum_v<E>
+[[nodiscard]] const char* to_string(E value) {
+  for (const EnumName<E>& row : names<E>()) {
+    if (row.value == value) return row.name;
+  }
+  return "?";
+}
+
+/// Case-insensitive parse; throws util::SimError naming the valid values.
+template <typename E>
+[[nodiscard]] E from_string(std::string_view name) {
+  const std::string wanted = util::to_lower(name);
+  std::string valid;
+  for (const EnumName<E>& row : names<E>()) {
+    if (util::to_lower(row.name) == wanted) return row.value;
+    valid += std::string(valid.empty() ? "" : " | ") + row.name;
+  }
+  throw util::SimError("unknown name '" + std::string(name) + "' (expected " + valid + ")");
+}
 
 /// The 4 ES and 3 DS algorithms evaluated in the paper (matrix order of
 /// Figures 3-4).

@@ -129,24 +129,74 @@ struct SimulationConfig {
 
   std::uint64_t seed = 1;
 
-  /// True when any stochastic fault stream is enabled.
-  [[nodiscard]] bool faults_enabled() const {
-    return fault_site_crash_rate_per_hour > 0.0 || fault_transfer_fail_prob > 0.0 ||
-           fault_catalog_loss_rate_per_hour > 0.0;
-  }
-
   [[nodiscard]] std::size_t jobs_per_user() const { return total_jobs / num_users; }
 
   /// Throws util::SimError when inconsistent (zero sites, users not evenly
-  /// divisible into jobs, inverted ranges, ...).
+  /// divisible into jobs, inverted ranges, non-finite values, ...).
   void validate() const;
 
   /// Overlay values from a parsed config file (keys match the field names,
-  /// e.g. `num_sites = 30`, `es = JobDataPresent`).
+  /// e.g. `num_sites = 30`, `es = JobDataPresent`). Unknown keys and
+  /// unparsable values throw util::SimError naming the key.
   void apply(const util::ConfigFile& file);
 
-  /// Multi-line human-readable dump (the Table 1 echo in benches).
+  /// Every key as a `key = value` line, doubles in shortest round-trip
+  /// form: a config file that apply() turns back into this exact config.
   [[nodiscard]] std::string describe() const;
+
+  /// Calls f(name, member pointer) for every config-file key, in field
+  /// order. This table is the one place a key's name is spelled.
+  template <typename F>
+  static void for_each_key(F&& f);
 };
+
+template <typename F>
+void SimulationConfig::for_each_key(F&& f) {
+  using C = SimulationConfig;
+  f("num_users", &C::num_users);
+  f("num_sites", &C::num_sites);
+  f("min_compute_elements", &C::min_compute_elements);
+  f("max_compute_elements", &C::max_compute_elements);
+  f("compute_speed_spread", &C::compute_speed_spread);
+  f("num_datasets", &C::num_datasets);
+  f("min_dataset_mb", &C::min_dataset_mb);
+  f("max_dataset_mb", &C::max_dataset_mb);
+  f("link_bandwidth_mbps", &C::link_bandwidth_mbps);
+  f("total_jobs", &C::total_jobs);
+  f("geometric_p", &C::geometric_p);
+  f("inputs_per_job", &C::inputs_per_job);
+  f("compute_seconds_per_gb", &C::compute_seconds_per_gb);
+  f("output_fraction", &C::output_fraction);
+  f("user_focus", &C::user_focus);
+  f("storage_capacity_mb", &C::storage_capacity_mb);
+  f("replication_threshold", &C::replication_threshold);
+  f("ds_check_period_s", &C::ds_check_period_s);
+  f("popularity_half_life_s", &C::popularity_half_life_s);
+  f("num_regions", &C::num_regions);
+  f("topology", &C::topology);
+  f("backbone_bandwidth_multiplier", &C::backbone_bandwidth_multiplier);
+  f("info_staleness_s", &C::info_staleness_s);
+  f("es_mapping", &C::es_mapping);
+  f("central_decision_overhead_s", &C::central_decision_overhead_s);
+  f("submission_mode", &C::submission_mode);
+  f("arrival_interval_s", &C::arrival_interval_s);
+  f("es", &C::es);
+  f("ds", &C::ds);
+  f("ls", &C::ls);
+  f("replica_selection", &C::replica_selection);
+  f("ds_neighbor_scope", &C::ds_neighbor_scope);
+  f("share_policy", &C::share_policy);
+  f("fault_site_crash_rate_per_hour", &C::fault_site_crash_rate_per_hour);
+  f("fault_site_downtime_s", &C::fault_site_downtime_s);
+  f("fault_transfer_fail_prob", &C::fault_transfer_fail_prob);
+  f("fault_catalog_loss_rate_per_hour", &C::fault_catalog_loss_rate_per_hour);
+  f("fault_horizon_s", &C::fault_horizon_s);
+  f("fetch_retry_base_s", &C::fetch_retry_base_s);
+  f("fetch_retry_max_s", &C::fetch_retry_max_s);
+  f("fetch_max_retries", &C::fetch_max_retries);
+  f("resubmit_backoff_s", &C::resubmit_backoff_s);
+  f("max_job_resubmissions", &C::max_job_resubmissions);
+  f("seed", &C::seed);
+}
 
 }  // namespace chicsim::core

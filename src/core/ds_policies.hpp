@@ -16,6 +16,7 @@
 // of caching along the transfer path).
 #pragma once
 
+#include "core/algorithms.hpp"
 #include "core/scheduler.hpp"
 
 namespace chicsim::core {
@@ -23,7 +24,7 @@ namespace chicsim::core {
 /// Caching-only baseline: the evaluate step does nothing.
 class DataDoNothingDs final : public DatasetScheduler {
  public:
-  [[nodiscard]] const char* name() const override { return "DataDoNothing"; }
+  [[nodiscard]] const char* name() const override { return to_string(DsAlgorithm::DataDoNothing); }
   void evaluate(ReplicationContext& ctx, util::Rng& rng) override;
 };
 
@@ -31,7 +32,7 @@ class DataDoNothingDs final : public DatasetScheduler {
 class DataRandomDs final : public DatasetScheduler {
  public:
   explicit DataRandomDs(double threshold) : threshold_(threshold) {}
-  [[nodiscard]] const char* name() const override { return "DataRandom"; }
+  [[nodiscard]] const char* name() const override { return to_string(DsAlgorithm::DataRandom); }
   void evaluate(ReplicationContext& ctx, util::Rng& rng) override;
 
  private:
@@ -43,7 +44,9 @@ class DataRandomDs final : public DatasetScheduler {
 class DataLeastLoadedDs final : public DatasetScheduler {
  public:
   explicit DataLeastLoadedDs(double threshold) : threshold_(threshold) {}
-  [[nodiscard]] const char* name() const override { return "DataLeastLoaded"; }
+  [[nodiscard]] const char* name() const override {
+    return to_string(DsAlgorithm::DataLeastLoaded);
+  }
   void evaluate(ReplicationContext& ctx, util::Rng& rng) override;
 
  private:
@@ -54,7 +57,7 @@ class DataLeastLoadedDs final : public DatasetScheduler {
 class DataBestClientDs final : public DatasetScheduler {
  public:
   explicit DataBestClientDs(double threshold) : threshold_(threshold) {}
-  [[nodiscard]] const char* name() const override { return "DataBestClient"; }
+  [[nodiscard]] const char* name() const override { return to_string(DsAlgorithm::DataBestClient); }
   void evaluate(ReplicationContext& ctx, util::Rng& rng) override;
 
  private:
@@ -65,7 +68,7 @@ class DataBestClientDs final : public DatasetScheduler {
 /// neighbour of the requester. The periodic evaluate step is a no-op.
 class DataFastSpreadDs final : public DatasetScheduler {
  public:
-  [[nodiscard]] const char* name() const override { return "DataFastSpread"; }
+  [[nodiscard]] const char* name() const override { return to_string(DsAlgorithm::DataFastSpread); }
   void evaluate(ReplicationContext& ctx, util::Rng& rng) override;
   void on_remote_fetch(ReplicationContext& ctx, data::DatasetId dataset,
                        data::SiteIndex requester, util::Rng& rng) override;

@@ -9,6 +9,7 @@
 
 #include <memory>
 
+#include "core/algorithms.hpp"
 #include "core/scheduler.hpp"
 
 namespace chicsim::core {
@@ -16,7 +17,7 @@ namespace chicsim::core {
 /// "A randomly selected site."
 class JobRandomEs final : public ExternalScheduler {
  public:
-  [[nodiscard]] const char* name() const override { return "JobRandom"; }
+  [[nodiscard]] const char* name() const override { return to_string(EsAlgorithm::JobRandom); }
   [[nodiscard]] data::SiteIndex select_site(const site::Job& job, const GridView& view,
                                             util::Rng& rng) override;
 };
@@ -26,7 +27,7 @@ class JobRandomEs final : public ExternalScheduler {
 /// at t=0 do not all pile onto the lowest-numbered site.
 class JobLeastLoadedEs final : public ExternalScheduler {
  public:
-  [[nodiscard]] const char* name() const override { return "JobLeastLoaded"; }
+  [[nodiscard]] const char* name() const override { return to_string(EsAlgorithm::JobLeastLoaded); }
   [[nodiscard]] data::SiteIndex select_site(const site::Job& job, const GridView& view,
                                             util::Rng& rng) override;
 };
@@ -37,7 +38,7 @@ class JobLeastLoadedEs final : public ExternalScheduler {
 /// qualify.
 class JobDataPresentEs final : public ExternalScheduler {
  public:
-  [[nodiscard]] const char* name() const override { return "JobDataPresent"; }
+  [[nodiscard]] const char* name() const override { return to_string(EsAlgorithm::JobDataPresent); }
   [[nodiscard]] data::SiteIndex select_site(const site::Job& job, const GridView& view,
                                             util::Rng& rng) override;
 };
@@ -45,7 +46,7 @@ class JobDataPresentEs final : public ExternalScheduler {
 /// "Always run jobs locally."
 class JobLocalEs final : public ExternalScheduler {
  public:
-  [[nodiscard]] const char* name() const override { return "JobLocal"; }
+  [[nodiscard]] const char* name() const override { return to_string(EsAlgorithm::JobLocal); }
   [[nodiscard]] data::SiteIndex select_site(const site::Job& job, const GridView& view,
                                             util::Rng& rng) override;
 };
@@ -58,7 +59,7 @@ class JobLocalEs final : public ExternalScheduler {
 /// anticipates.
 class JobAdaptiveEs final : public ExternalScheduler {
  public:
-  [[nodiscard]] const char* name() const override { return "JobAdaptive"; }
+  [[nodiscard]] const char* name() const override { return to_string(EsAlgorithm::JobAdaptive); }
   [[nodiscard]] data::SiteIndex select_site(const site::Job& job, const GridView& view,
                                             util::Rng& rng) override;
 
@@ -75,7 +76,9 @@ class JobAdaptiveEs final : public ExternalScheduler {
 /// decoupled heuristics are compared against.
 class JobBestEstimateEs final : public ExternalScheduler {
  public:
-  [[nodiscard]] const char* name() const override { return "JobBestEstimate"; }
+  [[nodiscard]] const char* name() const override {
+    return to_string(EsAlgorithm::JobBestEstimate);
+  }
   [[nodiscard]] data::SiteIndex select_site(const site::Job& job, const GridView& view,
                                             util::Rng& rng) override;
 };

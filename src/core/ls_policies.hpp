@@ -8,6 +8,7 @@
 // scheduling ablation bench.
 #pragma once
 
+#include "core/algorithms.hpp"
 #include "core/scheduler.hpp"
 
 namespace chicsim::core {
@@ -15,7 +16,7 @@ namespace chicsim::core {
 /// Strict arrival order with head-of-line blocking (paper default).
 class FifoLs final : public LocalScheduler {
  public:
-  [[nodiscard]] const char* name() const override { return "Fifo"; }
+  [[nodiscard]] const char* name() const override { return to_string(LsAlgorithm::Fifo); }
   [[nodiscard]] site::JobId pick_next(
       const std::deque<site::JobId>& queue,
       const std::function<const site::Job&(site::JobId)>& job_of) override;
@@ -25,7 +26,7 @@ class FifoLs final : public LocalScheduler {
 /// data-ready job behind it.
 class FifoSkipLs final : public LocalScheduler {
  public:
-  [[nodiscard]] const char* name() const override { return "FifoSkip"; }
+  [[nodiscard]] const char* name() const override { return to_string(LsAlgorithm::FifoSkip); }
   [[nodiscard]] site::JobId pick_next(
       const std::deque<site::JobId>& queue,
       const std::function<const site::Job&(site::JobId)>& job_of) override;
@@ -34,7 +35,7 @@ class FifoSkipLs final : public LocalScheduler {
 /// Shortest runtime among data-ready jobs (ties by arrival order).
 class SjfLs final : public LocalScheduler {
  public:
-  [[nodiscard]] const char* name() const override { return "Sjf"; }
+  [[nodiscard]] const char* name() const override { return to_string(LsAlgorithm::Sjf); }
   [[nodiscard]] site::JobId pick_next(
       const std::deque<site::JobId>& queue,
       const std::function<const site::Job&(site::JobId)>& job_of) override;

@@ -85,6 +85,9 @@ struct RunMetrics {
   std::uint64_t peak_heap_size = 0;     ///< most events ever pending at once
   std::uint64_t reallocations = 0;          ///< TransferManager::reallocate calls
   std::uint64_t flows_rescheduled = 0;      ///< ETAs re-derived because the rate changed
+
+  /// Field-by-field exact equality (replay and determinism checks).
+  bool operator==(const RunMetrics&) const = default;
 };
 
 class MetricsCollector final : public GridObserver {

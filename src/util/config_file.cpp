@@ -12,7 +12,6 @@ ConfigFile ConfigFile::parse(const std::string& text) {
   ConfigFile cfg;
   std::istringstream in(text);
   std::string line;
-  std::string section;
   int lineno = 0;
   while (std::getline(in, line)) {
     ++lineno;
@@ -20,25 +19,16 @@ ConfigFile ConfigFile::parse(const std::string& text) {
     if (hash != std::string::npos) line.erase(hash);
     std::string t = trim(line);
     if (t.empty()) continue;
-    if (t.front() == '[') {
-      if (t.back() != ']') {
-        throw SimError("config: unterminated section at line " + std::to_string(lineno));
-      }
-      section = to_lower(trim(t.substr(1, t.size() - 2)));
-      continue;
-    }
     auto eq = t.find('=');
     if (eq == std::string::npos) {
       throw SimError("config: expected key = value at line " + std::to_string(lineno) + ": " +
                      t);
     }
     std::string key = to_lower(trim(t.substr(0, eq)));
-    std::string value = trim(t.substr(eq + 1));
     if (key.empty()) {
       throw SimError("config: empty key at line " + std::to_string(lineno));
     }
-    if (!section.empty()) key = section + "." + key;
-    cfg.values_[key] = value;
+    cfg.values_[key] = trim(t.substr(eq + 1));
   }
   return cfg;
 }
@@ -55,54 +45,6 @@ std::optional<std::string> ConfigFile::get(const std::string& key) const {
   auto it = values_.find(to_lower(key));
   if (it == values_.end()) return std::nullopt;
   return it->second;
-}
-
-std::optional<long long> ConfigFile::get_int(const std::string& key) const {
-  auto raw = get(key);
-  if (!raw) return std::nullopt;
-  auto v = parse_int(*raw);
-  if (!v) throw SimError("config: key '" + key + "' is not an integer: " + *raw);
-  return v;
-}
-
-std::optional<double> ConfigFile::get_double(const std::string& key) const {
-  auto raw = get(key);
-  if (!raw) return std::nullopt;
-  auto v = parse_double(*raw);
-  if (!v) throw SimError("config: key '" + key + "' is not a number: " + *raw);
-  return v;
-}
-
-std::optional<bool> ConfigFile::get_bool(const std::string& key) const {
-  auto raw = get(key);
-  if (!raw) return std::nullopt;
-  auto v = parse_bool(*raw);
-  if (!v) throw SimError("config: key '" + key + "' is not a boolean: " + *raw);
-  return v;
-}
-
-std::string ConfigFile::get_or(const std::string& key, const std::string& fallback) const {
-  return get(key).value_or(fallback);
-}
-
-long long ConfigFile::get_int_or(const std::string& key, long long fallback) const {
-  return get_int(key).value_or(fallback);
-}
-
-double ConfigFile::get_double_or(const std::string& key, double fallback) const {
-  return get_double(key).value_or(fallback);
-}
-
-bool ConfigFile::get_bool_or(const std::string& key, bool fallback) const {
-  return get_bool(key).value_or(fallback);
-}
-
-void ConfigFile::set(const std::string& key, const std::string& value) {
-  values_[to_lower(key)] = value;
-}
-
-bool ConfigFile::contains(const std::string& key) const {
-  return values_.count(to_lower(key)) > 0;
 }
 
 std::vector<std::string> ConfigFile::keys() const {

@@ -1,9 +1,8 @@
 // Key/value configuration files.
 //
-// Format: one `key = value` per line, `#` comments, optional `[section]`
-// headers that prefix keys as `section.key`.  This is enough to describe a
-// full simulation scenario (Table 1 of the paper ships as
-// `examples/table1.cfg`-style text) without pulling in a JSON dependency.
+// Format: one `key = value` per line and `#` comments. This is enough to
+// describe a full simulation scenario (Table 1 of the paper ships as
+// `examples/scenarios/table1.cfg`) without pulling in a JSON dependency.
 #pragma once
 
 #include <map>
@@ -15,8 +14,6 @@ namespace chicsim::util {
 
 class ConfigFile {
  public:
-  ConfigFile() = default;
-
   /// Parse from text. Throws SimError on malformed lines.
   [[nodiscard]] static ConfigFile parse(const std::string& text);
 
@@ -26,23 +23,8 @@ class ConfigFile {
   /// Raw string lookup (keys are case-insensitive, stored lower-cased).
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
 
-  /// Typed lookups; throw SimError when the key exists but fails to parse.
-  [[nodiscard]] std::optional<long long> get_int(const std::string& key) const;
-  [[nodiscard]] std::optional<double> get_double(const std::string& key) const;
-  [[nodiscard]] std::optional<bool> get_bool(const std::string& key) const;
-
-  /// Typed lookups with defaults.
-  [[nodiscard]] std::string get_or(const std::string& key, const std::string& fallback) const;
-  [[nodiscard]] long long get_int_or(const std::string& key, long long fallback) const;
-  [[nodiscard]] double get_double_or(const std::string& key, double fallback) const;
-  [[nodiscard]] bool get_bool_or(const std::string& key, bool fallback) const;
-
-  /// Insert/overwrite a value (used by CLI overrides).
-  void set(const std::string& key, const std::string& value);
-
-  [[nodiscard]] bool contains(const std::string& key) const;
+  /// Every key, sorted.
   [[nodiscard]] std::vector<std::string> keys() const;
-  [[nodiscard]] std::size_t size() const { return values_.size(); }
 
  private:
   std::map<std::string, std::string> values_;

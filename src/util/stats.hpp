@@ -45,6 +45,8 @@ struct Summary {
   double stddev = 0.0;
   double min = 0.0;
   double max = 0.0;
+
+  bool operator==(const Summary&) const = default;
 };
 
 [[nodiscard]] Summary summarize(const OnlineStats& s);

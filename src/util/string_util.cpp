@@ -85,4 +85,10 @@ std::string format_fixed(double v, int precision) {
   return std::string(buf);
 }
 
+std::string format_shortest(double v) {
+  char buf[32];
+  auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, end);
+}
+
 }  // namespace chicsim::util

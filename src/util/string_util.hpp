@@ -33,4 +33,8 @@ namespace chicsim::util {
 /// Format a double with fixed precision (used by table/CSV writers).
 [[nodiscard]] std::string format_fixed(double v, int precision);
 
+/// Shortest text that parses back to exactly `v` (std::to_chars), e.g.
+/// "0.1", "3600", "1e+300": config dumps and traces replay bit for bit.
+[[nodiscard]] std::string format_shortest(double v);
+
 }  // namespace chicsim::util

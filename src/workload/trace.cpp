@@ -1,5 +1,6 @@
 #include "workload/trace.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <map>
 
@@ -17,7 +18,7 @@ void save_trace(const Workload& workload, std::ostream& out) {
     input_strs.reserve(job->inputs.size());
     for (auto d : job->inputs) input_strs.push_back(std::to_string(d));
     csv.row({std::to_string(job->id), std::to_string(job->user),
-             std::to_string(job->origin_site), util::format_fixed(job->runtime_s, 6),
+             std::to_string(job->origin_site), util::format_shortest(job->runtime_s),
              util::join(input_strs, ";")});
   }
 }
@@ -43,7 +44,7 @@ Workload load_trace(std::istream& in) {
     auto user = util::parse_int(row[c_user]);
     auto origin = util::parse_int(row[c_origin]);
     auto runtime = util::parse_double(row[c_runtime]);
-    if (!id || !user || !origin || !runtime || *runtime < 0.0) {
+    if (!id || !user || !origin || !runtime || !std::isfinite(*runtime) || *runtime < 0.0) {
       throw util::SimError("trace: malformed row for job " + row[c_id]);
     }
     job.id = static_cast<site::JobId>(*id);

@@ -14,7 +14,8 @@
 namespace chicsim::workload {
 
 /// Serialise a workload as CSV: job_id,user,origin_site,runtime_s,inputs
-/// with inputs `;`-separated.
+/// with inputs `;`-separated and runtime_s in shortest round-trip form, so
+/// a reloaded trace replays bit for bit.
 void save_trace(const Workload& workload, std::ostream& out);
 void save_trace_file(const Workload& workload, const std::string& path);
 

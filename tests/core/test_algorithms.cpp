@@ -9,30 +9,30 @@ namespace {
 
 TEST(Algorithms, EsRoundTripThroughStrings) {
   for (EsAlgorithm a : all_es_algorithms()) {
-    EXPECT_EQ(es_from_string(to_string(a)), a);
+    EXPECT_EQ(from_string<EsAlgorithm>(to_string(a)), a);
   }
 }
 
 TEST(Algorithms, DsRoundTripThroughStrings) {
   for (DsAlgorithm a : all_ds_algorithms()) {
-    EXPECT_EQ(ds_from_string(to_string(a)), a);
+    EXPECT_EQ(from_string<DsAlgorithm>(to_string(a)), a);
   }
 }
 
 TEST(Algorithms, ParsingIsCaseInsensitive) {
-  EXPECT_EQ(es_from_string("jobdatapresent"), EsAlgorithm::JobDataPresent);
-  EXPECT_EQ(ds_from_string("DATARANDOM"), DsAlgorithm::DataRandom);
-  EXPECT_EQ(ls_from_string("fifo"), LsAlgorithm::Fifo);
-  EXPECT_EQ(replica_selection_from_string("closest"), ReplicaSelection::Closest);
-  EXPECT_EQ(neighbor_scope_from_string("region"), NeighborScope::Region);
+  EXPECT_EQ(from_string<EsAlgorithm>("jobdatapresent"), EsAlgorithm::JobDataPresent);
+  EXPECT_EQ(from_string<DsAlgorithm>("DATARANDOM"), DsAlgorithm::DataRandom);
+  EXPECT_EQ(from_string<LsAlgorithm>("fifo"), LsAlgorithm::Fifo);
+  EXPECT_EQ(from_string<ReplicaSelection>("closest"), ReplicaSelection::Closest);
+  EXPECT_EQ(from_string<NeighborScope>("region"), NeighborScope::Region);
 }
 
 TEST(Algorithms, UnknownNamesThrow) {
-  EXPECT_THROW((void)es_from_string("JobMagic"), util::SimError);
-  EXPECT_THROW((void)ds_from_string(""), util::SimError);
-  EXPECT_THROW((void)ls_from_string("lifo"), util::SimError);
-  EXPECT_THROW((void)replica_selection_from_string("furthest"), util::SimError);
-  EXPECT_THROW((void)neighbor_scope_from_string("planet"), util::SimError);
+  EXPECT_THROW((void)from_string<EsAlgorithm>("JobMagic"), util::SimError);
+  EXPECT_THROW((void)from_string<DsAlgorithm>(""), util::SimError);
+  EXPECT_THROW((void)from_string<LsAlgorithm>("lifo"), util::SimError);
+  EXPECT_THROW((void)from_string<ReplicaSelection>("furthest"), util::SimError);
+  EXPECT_THROW((void)from_string<NeighborScope>("planet"), util::SimError);
 }
 
 TEST(Algorithms, PaperFamiliesMatchSection4) {

@@ -2,11 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <string>
+#include <type_traits>
+#include <vector>
 
+#include "core/grid.hpp"
 #include "util/config_file.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace chicsim::core {
 namespace {
@@ -107,6 +116,8 @@ TEST(Config, ApplyRejectsBadValues) {
   EXPECT_THROW(cfg.apply(bad_share), util::SimError);
   auto bad_num = util::ConfigFile::parse("num_sites = -3\n");
   EXPECT_THROW(cfg.apply(bad_num), util::SimError);
+  auto not_num = util::ConfigFile::parse("num_sites = hello\n");
+  EXPECT_THROW(cfg.apply(not_num), util::SimError);
 }
 
 TEST(Config, ApplyRejectsUnknownKeys) {
@@ -148,13 +159,179 @@ TEST(Config, DescribeMentionsEveryKnob) {
 TEST(Config, DescribeShowsPopularityHalfLife) {
   SimulationConfig cfg;
   cfg.apply(util::ConfigFile::parse("popularity_half_life_s = 3600\n"));
-  EXPECT_NE(cfg.describe().find("popularity_half_life_s = 3600.0"), std::string::npos)
+  EXPECT_NE(cfg.describe().find("popularity_half_life_s = 3600\n"), std::string::npos)
       << cfg.describe();
 }
 
 TEST(Config, StalenessDefaultIsDocumentedValue) {
   SimulationConfig cfg;
   EXPECT_DOUBLE_EQ(cfg.info_staleness_s, 120.0);
+}
+
+/// Expects `cfg.validate()` (or `apply(text)` when given) to throw a
+/// SimError whose message names `key`.
+void expect_rejected_naming(const SimulationConfig& cfg, const std::string& key,
+                            const std::string& text = "") {
+  try {
+    if (text.empty()) {
+      cfg.validate();
+    } else {
+      SimulationConfig(cfg).apply(util::ConfigFile::parse(text));
+    }
+    ADD_FAILURE() << key << " accepted" << (text.empty() ? "" : ": " + text);
+  } catch (const util::SimError& e) {
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+  }
+}
+
+TEST(Config, RejectsInfiniteFaultHorizon) {
+  // An infinite horizon made FaultPlan generation loop until out of memory.
+  SimulationConfig cfg;
+  cfg.fault_site_crash_rate_per_hour = 1.0;
+  expect_rejected_naming(cfg, "fault_horizon_s", "fault_horizon_s = inf\n");
+  cfg.fault_horizon_s = std::numeric_limits<double>::infinity();
+  expect_rejected_naming(cfg, "fault_horizon_s");
+}
+
+TEST(Config, RejectsNanOrNegativeStaleness) {
+  // A NaN period froze the information view at its first snapshot.
+  SimulationConfig cfg;
+  expect_rejected_naming(cfg, "info_staleness_s", "info_staleness_s = nan\n");
+  cfg.info_staleness_s = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected_naming(cfg, "info_staleness_s");
+  cfg.info_staleness_s = -1.0;
+  expect_rejected_naming(cfg, "info_staleness_s");
+}
+
+TEST(Config, RejectsNanOrNegativeHalfLife) {
+  // A NaN half-life silently disabled replication.
+  SimulationConfig cfg;
+  expect_rejected_naming(cfg, "popularity_half_life_s", "popularity_half_life_s = nan\n");
+  cfg.popularity_half_life_s = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected_naming(cfg, "popularity_half_life_s");
+  cfg.popularity_half_life_s = -1.0;
+  expect_rejected_naming(cfg, "popularity_half_life_s");
+}
+
+TEST(Config, SeedUsesFullUint64Range) {
+  SimulationConfig cfg;
+  cfg.apply(util::ConfigFile::parse("seed = 13852939945820309002\n"));
+  EXPECT_EQ(cfg.seed, 13852939945820309002ULL);
+  cfg.apply(util::ConfigFile::parse("seed = 18446744073709551615\n"));
+  EXPECT_EQ(cfg.seed, std::numeric_limits<std::uint64_t>::max());
+  expect_rejected_naming(cfg, "seed", "seed = 18446744073709551616\n");
+}
+
+/// Converts to any field type; counts aggregate members by brace-init.
+struct AnyField {
+  template <typename T>
+  operator T() const;
+};
+
+template <typename T, typename... Fields>
+constexpr std::size_t field_count() {
+  if constexpr (requires { T{Fields{}..., AnyField{}}; }) {
+    return field_count<T, Fields..., AnyField>();
+  } else {
+    return sizeof...(Fields);
+  }
+}
+
+TEST(Config, KeyTableCoversEveryField) {
+  // One row per field, and no two rows share a field.
+  SimulationConfig cfg;
+  std::vector<std::ptrdiff_t> offsets;
+  SimulationConfig::for_each_key([&](const char*, auto member) {
+    offsets.push_back(reinterpret_cast<const char*>(&(cfg.*member)) -
+                      reinterpret_cast<const char*>(&cfg));
+  });
+  EXPECT_EQ(offsets.size(), field_count<SimulationConfig>());
+  std::sort(offsets.begin(), offsets.end());
+  EXPECT_EQ(std::adjacent_find(offsets.begin(), offsets.end()), offsets.end());
+}
+
+/// Every field bit for bit (doubles by representation, so -0 and 0 differ).
+void expect_same_fields(const SimulationConfig& a, const SimulationConfig& b,
+                        const std::string& where) {
+  SimulationConfig::for_each_key([&](const char* name, auto member) {
+    const auto& x = a.*member;
+    const auto& y = b.*member;
+    if constexpr (std::is_floating_point_v<std::remove_cvref_t<decltype(x)>>) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(x), std::bit_cast<std::uint64_t>(y))
+          << name << " " << x << " vs " << y << " in " << where;
+    } else {
+      EXPECT_TRUE(x == y) << name << " in " << where;
+    }
+  });
+}
+
+SimulationConfig round_trip(const SimulationConfig& cfg) {
+  SimulationConfig back;
+  back.apply(util::ConfigFile::parse(cfg.describe()));
+  return back;
+}
+
+TEST(Config, DescribeRoundTripsRandomConfigsBitForBit) {
+  const double awkward[] = {0.0,
+                            -0.0,
+                            0.1,
+                            1.0 / 3.0,
+                            1e-7,
+                            1e300,
+                            -2.5,
+                            std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::min(),
+                            std::numeric_limits<double>::max()};
+  util::Rng rng(2024);
+  for (std::size_t i = 0; i < 2000; ++i) {
+    SimulationConfig cfg;
+    SimulationConfig::for_each_key([&](const char*, auto member) {
+      auto& field = cfg.*member;
+      using T = std::remove_cvref_t<decltype(field)>;
+      if constexpr (std::is_enum_v<T>) {
+        // Cycling through the table covers every value of every enum.
+        auto rows = names<T>();
+        field = rows[i % rows.size()].value;
+      } else if constexpr (std::is_floating_point_v<T>) {
+        switch (rng.index(3)) {
+          case 0: field = awkward[rng.index(std::size(awkward))]; break;
+          case 1: field = rng.uniform(0.0, 1e4); break;
+          default:
+            do {
+              field = std::bit_cast<double>(rng.next_u64());
+            } while (!std::isfinite(field));
+        }
+      } else {
+        field = rng.chance(0.5) ? static_cast<T>(rng.next_u64()) : rng.index(1000);
+      }
+    });
+    expect_same_fields(cfg, round_trip(cfg), "random config " + std::to_string(i));
+  }
+}
+
+TEST(Config, ShippedScenariosRoundTrip) {
+  for (const auto& entry :
+       std::filesystem::directory_iterator(CHICSIM_SOURCE_DIR "/examples/scenarios")) {
+    if (entry.path().extension() != ".cfg") continue;
+    SimulationConfig cfg;
+    cfg.apply(util::ConfigFile::load(entry.path().string()));
+    expect_same_fields(cfg, round_trip(cfg), entry.path().string());
+  }
+}
+
+TEST(Config, RoundTrippedConfigRunsIdentically) {
+  SimulationConfig cfg;
+  cfg.apply(util::ConfigFile::load(CHICSIM_SOURCE_DIR "/examples/scenarios/heterogeneous.cfg"));
+  cfg.total_jobs = 240;
+  cfg.fault_transfer_fail_prob = 1.0 / 30.0;
+  cfg.popularity_half_life_s = 3600.0 / 7.0;
+  SimulationConfig back = round_trip(cfg);
+  Grid a(cfg);
+  a.run();
+  Grid b(back);
+  b.run();
+  EXPECT_EQ(a.metrics().jobs_completed, 240u);
+  EXPECT_TRUE(a.metrics() == b.metrics());
 }
 
 }  // namespace

@@ -57,12 +57,8 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(net::SharePolicy::EqualShare, net::SharePolicy::MaxMin,
                           net::SharePolicy::NoContention)),
     [](const ::testing::TestParamInfo<Combo>& info) {
-      net::SharePolicy share = std::get<2>(info.param);
-      std::string share_name = share == net::SharePolicy::EqualShare ? "EqualShare"
-                               : share == net::SharePolicy::MaxMin   ? "MaxMin"
-                                                                     : "NoContention";
       return std::string(to_string(std::get<0>(info.param))) + "_" +
-             to_string(std::get<1>(info.param)) + "_" + share_name;
+             to_string(std::get<1>(info.param)) + "_" + to_string(std::get<2>(info.param));
     });
 
 }  // namespace

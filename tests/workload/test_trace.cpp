@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -39,7 +40,7 @@ TEST(Trace, RoundTripPreservesJobs) {
       EXPECT_EQ(a[i].user, b[i].user);
       EXPECT_EQ(a[i].origin_site, b[i].origin_site);
       EXPECT_EQ(a[i].inputs, b[i].inputs);
-      EXPECT_NEAR(a[i].runtime_s, b[i].runtime_s, 1e-5);
+      EXPECT_EQ(a[i].runtime_s, b[i].runtime_s);
     }
   }
 }
@@ -71,6 +72,14 @@ TEST(Trace, MalformedRowsThrow) {
   EXPECT_THROW((void)load_trace(bad3), util::SimError);
   std::istringstream bad4("job_id,user,origin_site,runtime_s,inputs\n1,0,0,1.0,\n");
   EXPECT_THROW((void)load_trace(bad4), util::SimError);
+}
+
+TEST(Trace, NonFiniteRuntimesThrow) {
+  for (const char* runtime : {"inf", "nan", "1e999"}) {
+    std::istringstream in(std::string("job_id,user,origin_site,runtime_s,inputs\n1,0,0,") +
+                          runtime + ",1\n");
+    EXPECT_THROW((void)load_trace(in), util::SimError) << runtime;
+  }
 }
 
 TEST(Trace, NonDenseUsersThrow) {
