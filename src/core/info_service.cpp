@@ -29,35 +29,37 @@ util::SimTime InfoService::current_epoch() const {
   return std::floor(now() / config_.info_staleness_s) * config_.info_staleness_s;
 }
 
+bool InfoService::capture_due(util::SimTime& epoch, util::SimTime& checked_at,
+                              std::size_t have, std::size_t want) const {
+  if (now() == checked_at && have == want) return false;
+  checked_at = now();
+  util::SimTime current = current_epoch();
+  if (current <= epoch && have == want) return false;
+  epoch = current;
+  return true;
+}
+
 void InfoService::refresh_loads() const {
-  util::SimTime epoch = current_epoch();
-  if (epoch > load_epoch_ || load_snapshot_.size() != sites_.size()) {
-    load_snapshot_.resize(sites_.size());
-    for (std::size_t i = 0; i < sites_.size(); ++i) load_snapshot_[i] = sites_[i].load();
-    load_epoch_ = epoch;
-  }
+  if (!capture_due(load_epoch_, load_checked_, load_snapshot_.size(), sites_.size())) return;
+  load_snapshot_.resize(sites_.size());
+  for (std::size_t i = 0; i < sites_.size(); ++i) load_snapshot_[i] = sites_[i].load();
 }
 
 void InfoService::refresh_replicas() const {
-  util::SimTime epoch = current_epoch();
-  if (epoch > replica_epoch_ || replica_snapshot_.size() != catalog_.size()) {
-    replica_snapshot_.resize(catalog_.size());
-    for (data::DatasetId d = 0; d < catalog_.size(); ++d) {
-      replica_snapshot_[d] = replicas_.locations(d);
-    }
-    replica_epoch_ = epoch;
+  if (!capture_due(replica_epoch_, replica_checked_, replica_snapshot_.size(),
+                   catalog_.size())) {
+    return;
+  }
+  replica_snapshot_.resize(catalog_.size());
+  for (data::DatasetId d = 0; d < catalog_.size(); ++d) {
+    replica_snapshot_[d] = replicas_.locations(d);
   }
 }
 
 void InfoService::refresh_alive() const {
-  util::SimTime epoch = current_epoch();
-  if (epoch > alive_epoch_ || alive_snapshot_.size() != sites_.size()) {
-    alive_snapshot_.resize(sites_.size());
-    for (std::size_t i = 0; i < sites_.size(); ++i) {
-      alive_snapshot_[i] = sites_[i].alive() ? 1 : 0;
-    }
-    alive_epoch_ = epoch;
-  }
+  if (!capture_due(alive_epoch_, alive_checked_, alive_snapshot_.size(), sites_.size())) return;
+  alive_snapshot_.resize(sites_.size());
+  for (std::size_t i = 0; i < sites_.size(); ++i) alive_snapshot_[i] = sites_[i].alive() ? 1 : 0;
 }
 
 bool InfoService::site_alive(data::SiteIndex s) const {

@@ -15,7 +15,9 @@
 // publications every scheduler sees the same frozen snapshot. Snapshots are
 // captured lazily, per information family, at the first query inside each
 // epoch [k*S, (k+1)*S); static facts (topology, dataset sizes, neighbour
-// lists) and the NWS-style congestion probes stay live.
+// lists) and the NWS-style congestion probes stay live. Each family runs
+// its epoch check once per virtual instant: later queries at the same
+// now() return at once.
 #pragma once
 
 #include <vector>
@@ -70,6 +72,10 @@ class InfoService final : public GridView {
   void refresh_loads() const;
   void refresh_replicas() const;
   void refresh_alive() const;
+  /// Whether a family captured in `epoch` must be re-captured now; checks
+  /// the epoch once per virtual instant, and always when `have != want`.
+  bool capture_due(util::SimTime& epoch, util::SimTime& checked_at, std::size_t have,
+                   std::size_t want) const;
 
   const SimulationConfig& config_;
   const sim::Engine& engine_;
@@ -83,10 +89,13 @@ class InfoService final : public GridView {
 
   mutable std::vector<std::size_t> load_snapshot_;
   mutable util::SimTime load_epoch_ = -1.0;
+  mutable util::SimTime load_checked_ = -1.0;
   mutable std::vector<std::vector<data::SiteIndex>> replica_snapshot_;
   mutable util::SimTime replica_epoch_ = -1.0;
+  mutable util::SimTime replica_checked_ = -1.0;
   mutable std::vector<std::uint8_t> alive_snapshot_;
   mutable util::SimTime alive_epoch_ = -1.0;
+  mutable util::SimTime alive_checked_ = -1.0;
 };
 
 }  // namespace chicsim::core

@@ -1,5 +1,6 @@
-// A scriptable GridView for policy unit tests: loads, replica locations,
-// distances and congestion are plain data members the test sets directly.
+// A scriptable GridView for policy unit tests: loads, liveness, replica
+// locations, distances and congestion are plain data members the test sets
+// directly.
 #pragma once
 
 #include <vector>
@@ -12,6 +13,7 @@ class FakeGridView final : public GridView {
  public:
   explicit FakeGridView(std::size_t num_sites, std::size_t num_datasets)
       : loads_(num_sites, 0),
+        alive_(num_sites, true),
         compute_elements_(num_sites, 2),
         speeds_(num_sites, 1.0),
         replicas_(num_datasets),
@@ -26,6 +28,7 @@ class FakeGridView final : public GridView {
 
   // --- test controls ---
   std::vector<std::size_t> loads_;
+  std::vector<bool> alive_;
   std::vector<std::size_t> compute_elements_;
   std::vector<double> speeds_;
   std::vector<std::vector<data::SiteIndex>> replicas_;
@@ -41,6 +44,7 @@ class FakeGridView final : public GridView {
   // --- GridView ---
   [[nodiscard]] std::size_t num_sites() const override { return loads_.size(); }
   [[nodiscard]] std::size_t site_load(data::SiteIndex s) const override { return loads_[s]; }
+  [[nodiscard]] bool site_alive(data::SiteIndex s) const override { return alive_[s]; }
   [[nodiscard]] std::size_t site_compute_elements(data::SiteIndex s) const override {
     return compute_elements_[s];
   }

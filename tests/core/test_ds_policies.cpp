@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "fake_view.hpp"
@@ -203,6 +205,39 @@ TEST(DataLeastLoaded, RespectsNeighborList) {
   EXPECT_NE(ctx.replicated_[0].second, 2u);
 }
 
+TEST(DataLeastLoaded, SkipsExactlyTheHolders) {
+  // Self is 0; its known sites are 1..4. Make each neighbour in turn the
+  // coldest: a holder must never be picked, every non-holder must be.
+  // Holder lists that include self, and an empty one, both hold.
+  const std::vector<std::vector<data::SiteIndex>> holder_lists = {{0, 2, 4}, {3, 0}, {}};
+  for (const auto& holders : holder_lists) {
+    DataLeastLoadedDs ds(10.0);  // reused across calls: flags must be cleared
+    for (data::SiteIndex coldest = 1; coldest <= 4; ++coldest) {
+      FakeGridView view(5, 2);
+      for (auto h : holders) view.place(0, h);
+      view.loads_ = {9, 6, 6, 6, 6};
+      view.loads_[coldest] = 0;
+      view.neighbors_[0] = {1, 2, 3, 4};
+      FakeReplicationContext ctx(view, 0);
+      ctx.popular_ = {0, 1};  // dataset 1 has no holders at all
+      util::Rng rng(20);
+      ds.evaluate(ctx, rng);
+      bool held = std::find(holders.begin(), holders.end(), coldest) != holders.end();
+      ASSERT_FALSE(ctx.replicated_.empty());
+      if (held) {
+        EXPECT_NE(ctx.replicated_[0].second, coldest);
+        EXPECT_EQ(std::count(holders.begin(), holders.end(), ctx.replicated_[0].second), 0);
+      } else {
+        EXPECT_EQ(ctx.replicated_[0], (std::pair<data::DatasetId, data::SiteIndex>{0, coldest}));
+      }
+      // The unheld dataset may go to any neighbour, holders of dataset 0
+      // included: the coldest wins.
+      ASSERT_EQ(ctx.replicated_.back().first, 1u);
+      EXPECT_EQ(ctx.replicated_.back().second, coldest);
+    }
+  }
+}
+
 TEST(DataBestClient, ReplicatesToTopRequester) {
   FakeGridView view(5, 2);
   FakeReplicationContext ctx(view, 1);
@@ -265,6 +300,51 @@ TEST(DataFastSpread, NoCandidateMeansNoPush) {
   view.place(0, 1);  // the only sibling already holds it
   FakeReplicationContext ctx(view, 1);
   util::Rng rng(14);
+  DataFastSpreadDs ds;
+  ds.on_remote_fetch(ctx, 0, /*requester=*/2, rng);
+  EXPECT_TRUE(ctx.replicated_.empty());
+}
+
+TEST(DataFastSpread, SkipsExactlyTheHolders) {
+  // Self (1) sits among requester 3's siblings. The candidates are the
+  // siblings other than self that do not hold the dataset, whether or not
+  // self is listed as a holder.
+  struct Case {
+    std::vector<data::SiteIndex> holders;
+    std::set<data::SiteIndex> expected;
+  };
+  const std::vector<Case> cases = {
+      {{1, 2}, {0, 4}}, {{4}, {0, 2}}, {{}, {0, 2, 4}}, {{0, 1, 2, 4}, {}}};
+  DataFastSpreadDs ds;  // reused across calls: flags must be cleared
+  for (const Case& c : cases) {
+    FakeGridView view(5, 2);
+    for (auto h : c.holders) view.place(0, h);
+    view.neighbors_[3] = {0, 1, 2, 4};
+    std::set<data::SiteIndex> seen;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+      FakeReplicationContext ctx(view, 1);
+      util::Rng rng(seed);
+      ds.on_remote_fetch(ctx, 0, /*requester=*/3, rng);
+      if (c.expected.empty()) {
+        EXPECT_TRUE(ctx.replicated_.empty());
+        continue;
+      }
+      ASSERT_EQ(ctx.replicated_.size(), 1u);
+      seen.insert(ctx.replicated_[0].second);
+      // Dataset 1 has no holders: every sibling but self stays a candidate.
+      ds.on_remote_fetch(ctx, 1, /*requester=*/3, rng);
+      ASSERT_EQ(ctx.replicated_.size(), 2u);
+      EXPECT_NE(ctx.replicated_[1].second, 1u);
+    }
+    EXPECT_EQ(seen, c.expected);
+  }
+}
+
+TEST(DataFastSpread, OnlySelfBesideTheRequesterMeansNoPush) {
+  FakeGridView view(3, 1);
+  view.neighbors_[2] = {1};
+  FakeReplicationContext ctx(view, 1);
+  util::Rng rng(16);
   DataFastSpreadDs ds;
   ds.on_remote_fetch(ctx, 0, /*requester=*/2, rng);
   EXPECT_TRUE(ctx.replicated_.empty());

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "fake_view.hpp"
 #include "util/error.hpp"
@@ -93,6 +97,129 @@ TEST(JobDataPresent, NoHolderAnywhereFallsBackToLeastLoadedOverall) {
   JobDataPresentEs es;
   auto job = make_job(1, 3, {0});
   EXPECT_EQ(es.select_site(job, view, rng), 1u);
+}
+
+/// The per-site scoring JobDataPresentEs used before it walked holder
+/// lists: ask site_has_dataset for every placeable site x input. Kept here
+/// as the reference the inverted scoring must match bit for bit, draw for
+/// draw.
+data::SiteIndex reference_data_present(const site::Job& job, const GridView& view,
+                                       util::Rng& rng) {
+  std::vector<data::SiteIndex> placeable;
+  for (data::SiteIndex s = 0; s < view.num_sites(); ++s) {
+    if (view.site_alive(s)) placeable.push_back(s);
+  }
+  if (placeable.empty()) {
+    for (data::SiteIndex s = 0; s < view.num_sites(); ++s) placeable.push_back(s);
+  }
+  std::vector<data::SiteIndex> qualifying;
+  double best_mb = -1.0;
+  for (data::SiteIndex site : placeable) {
+    double mb = 0.0;
+    for (auto input : job.inputs) {
+      if (view.site_has_dataset(site, input)) mb += view.dataset_size_mb(input);
+    }
+    if (mb > best_mb + util::kEpsilon) {
+      best_mb = mb;
+      qualifying.clear();
+      qualifying.push_back(site);
+    } else if (mb >= best_mb - util::kEpsilon) {
+      qualifying.push_back(site);
+    }
+  }
+  std::size_t best_load = std::numeric_limits<std::size_t>::max();
+  for (auto s : qualifying) best_load = std::min(best_load, view.site_load(s));
+  std::vector<data::SiteIndex> ties;
+  for (auto s : qualifying) {
+    if (view.site_load(s) == best_load) ties.push_back(s);
+  }
+  return ties[rng.index(ties.size())];
+}
+
+TEST(JobDataPresent, HolderWalkMatchesPerSiteScoringOnRandomViews) {
+  // Sizes chosen to stress the epsilon compare: thirds do not sum exactly,
+  // 1e-7 sits just above kEpsilon and 1e-10 below it.
+  const std::vector<double> sizes = {1.0 / 3.0, 2.0 / 3.0, 1e-7, 1e-10, 500.0, 1999.5};
+  util::Rng gen(20);
+  JobDataPresentEs es;  // one instance: its buffers must survive resizing views
+  int all_dead = 0;
+  int repeated = 0;
+  int orphan = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    auto num_sites = static_cast<std::size_t>(gen.uniform_int(1, 12));
+    auto num_datasets = static_cast<std::size_t>(gen.uniform_int(1, 5));
+    FakeGridView view(num_sites, num_datasets);
+    for (auto& size : view.sizes_) size = sizes[gen.index(sizes.size())];
+    for (data::DatasetId d = 0; d < num_datasets; ++d) {
+      // Distinct holders in random order; some datasets have none.
+      std::vector<std::size_t> order = gen.permutation(num_sites);
+      auto holders = static_cast<std::size_t>(gen.uniform_int(0, 3));
+      for (std::size_t i = 0; i < std::min(holders, num_sites); ++i) {
+        view.place(d, static_cast<data::SiteIndex>(order[i]));
+      }
+    }
+    for (auto& load : view.loads_) load = static_cast<std::size_t>(gen.uniform_int(0, 2));
+    bool kill_all = trial % 10 == 0;
+    for (std::size_t s = 0; s < num_sites; ++s) view.alive_[s] = !kill_all && gen.chance(0.7);
+    std::vector<data::DatasetId> inputs;
+    auto num_inputs = static_cast<std::size_t>(gen.uniform_int(1, 4));
+    for (std::size_t i = 0; i < num_inputs; ++i) {
+      inputs.push_back(static_cast<data::DatasetId>(gen.index(num_datasets)));
+    }
+    if (trial % 7 == 0) inputs.push_back(inputs.front());  // a repeated input
+    auto job = make_job(1, 0, inputs);
+
+    std::vector<data::DatasetId> sorted = inputs;
+    std::sort(sorted.begin(), sorted.end());
+    repeated += std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end() ? 1 : 0;
+    orphan += std::any_of(inputs.begin(), inputs.end(),
+                          [&view](data::DatasetId d) { return view.replicas_[d].empty(); })
+                  ? 1
+                  : 0;
+    all_dead += std::none_of(view.alive_.begin(), view.alive_.end(), [](bool a) { return a; })
+                    ? 1
+                    : 0;
+
+    auto seed = static_cast<std::uint64_t>(1000 + trial);
+    util::Rng ref_rng(seed);
+    util::Rng es_rng(seed);
+    data::SiteIndex want = reference_data_present(job, view, ref_rng);
+    ASSERT_EQ(es.select_site(job, view, es_rng), want) << "trial " << trial;
+    // Same number of draws consumed: the next draw of each stream agrees.
+    ASSERT_EQ(es_rng.uniform_int(0, std::numeric_limits<std::int64_t>::max()),
+              ref_rng.uniform_int(0, std::numeric_limits<std::int64_t>::max()))
+        << "trial " << trial;
+  }
+  // The generator really covered the shapes the inversion must get right.
+  EXPECT_GT(all_dead, 100);
+  EXPECT_GT(repeated, 200);
+  EXPECT_GT(orphan, 200);
+}
+
+TEST(JobDataPresent, DeadHolderIsNeverChosenWhileALiveOneExists) {
+  FakeGridView view(5, 2);
+  view.sizes_ = {1000.0, 400.0};
+  view.place(0, 1);  // site 1 holds everything but is down
+  view.place(1, 1);
+  view.place(0, 3);  // site 3 holds the bigger input and is up
+  view.alive_[1] = false;
+  view.loads_ = {0, 0, 0, 9, 0};  // not even the busiest live holder loses
+  JobDataPresentEs es;
+  auto job = make_job(1, 0, {0, 1});
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    util::Rng rng(seed);
+    EXPECT_EQ(es.select_site(job, view, rng), 3u);
+  }
+}
+
+TEST(JobDataPresent, AllDeadFallsBackToEverySiteAndStillPicks) {
+  FakeGridView view(4, 1);
+  view.place(0, 2);
+  view.alive_ = {false, false, false, false};
+  util::Rng rng(16);
+  JobDataPresentEs es;
+  auto job = make_job(1, 0, {0});
+  EXPECT_EQ(es.select_site(job, view, rng), 2u);
 }
 
 TEST(JobAdaptive, PrefersDataSiteWhenNetworkIsSlow) {
