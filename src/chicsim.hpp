@@ -18,7 +18,6 @@
 #include "util/config_file.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/string_util.hpp"
@@ -71,6 +70,5 @@
 #include "core/replication_driver.hpp"
 #include "core/report.hpp"
 #include "core/scheduler.hpp"
-#include "core/service_interfaces.hpp"
 #include "core/timeline.hpp"
 #include "core/world_builder.hpp"

@@ -72,21 +72,12 @@ class GridObserver {
   virtual void on_event(const GridEvent& event) = 0;
 };
 
-/// Where the core services publish structured events. Services never talk
-/// to observers directly — they see only this sink, so a service can be
-/// unit-tested against a recording stub.
-class EventSink {
- public:
-  virtual ~EventSink() = default;
-  /// Stamp the current virtual time on `event` and fan it out.
-  virtual void emit(GridEvent event) = 0;
-};
-
-/// The Grid's event bus: owns the observer list and the clock used to stamp
-/// events. The Grid attaches its MetricsCollector first, so every emit is
-/// stamped and folded into the run metrics; user observers see the same
-/// events after it, in attach order.
-class EventBus final : public EventSink {
+/// The Grid's event bus, where the core services publish: owns the
+/// observer list and the clock used to stamp events. Services never talk to
+/// observers directly. The Grid attaches its MetricsCollector first, so every
+/// emit is stamped and folded into the run metrics; user observers see the
+/// same events after it, in attach order.
+class EventBus final {
  public:
   /// `clock` supplies the virtual time stamped on every emitted event; it
   /// must be set before the first emit.
@@ -95,7 +86,8 @@ class EventBus final : public EventSink {
   /// The observer is non-owning and must outlive every emit.
   void add_observer(GridObserver* observer);
 
-  void emit(GridEvent event) override;
+  /// Stamp the current virtual time on `event` and fan it out.
+  void emit(GridEvent event);
 
  private:
   std::function<util::SimTime()> clock_;

@@ -72,7 +72,6 @@ class ExperimentRunner {
       const std::vector<EsAlgorithm>& es_algorithms,
       const std::vector<DsAlgorithm>& ds_algorithms, unsigned threads = 1) const;
 
-  [[nodiscard]] const SimulationConfig& base_config() const { return base_; }
   [[nodiscard]] const std::vector<std::uint64_t>& seeds() const { return seeds_; }
 
  private:

@@ -7,7 +7,6 @@
 #include "core/replication_driver.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
-#include "util/string_util.hpp"
 
 namespace chicsim::core {
 
@@ -130,15 +129,14 @@ FaultPlan FaultPlan::generate(const SimulationConfig& config) {
 // --- FaultInjector ---
 
 FaultInjector::FaultInjector(const SimulationConfig& config, sim::Engine& engine,
-                             util::Logger& logger, std::vector<site::Site>& sites,
+                             std::vector<site::Site>& sites,
                              const data::DatasetCatalog& catalog,
                              data::ReplicaCatalog& replicas, const net::Topology& topology,
                              net::TransferManager& transfers, FetchPlanner& fetch,
                              ReplicationDriver& replication, JobLifecycle& lifecycle,
-                             EventSink& events)
+                             EventBus& events)
     : config_(config),
       engine_(engine),
-      logger_(logger),
       sites_(sites),
       catalog_(catalog),
       replicas_(replicas),
@@ -163,9 +161,6 @@ bool FaultInjector::site_alive(data::SiteIndex s) const {
 }
 
 void FaultInjector::apply(const FaultAction& action) {
-  logger_.lazy(util::LogLevel::Debug, [&] {
-    return std::string("fault: ") + to_string(action.kind);
-  });
   switch (action.kind) {
     case FaultKind::SiteCrash:
       apply_site_crash(action.site);
@@ -190,7 +185,6 @@ void FaultInjector::apply_site_crash(data::SiteIndex s) {
   CHICSIM_ASSERT_MSG(s < sites_.size(), "crash of an unknown site");
   site::Site& site = sites_[s];
   if (!site.alive()) return;  // scripted and stochastic streams may overlap
-  logger_.info("site " + std::to_string(s) + " crashed");
   events_.emit(GridEvent{GridEventType::SiteFailed, 0.0, site::kNoJob, data::kNoDataset,
                          s, data::kNoSite, 0.0});
   site.set_alive(false);
@@ -217,7 +211,6 @@ void FaultInjector::apply_site_recovery(data::SiteIndex s) {
   CHICSIM_ASSERT_MSG(s < sites_.size(), "recovery of an unknown site");
   site::Site& site = sites_[s];
   if (site.alive()) return;
-  logger_.info("site " + std::to_string(s) + " recovered");
   site.set_alive(true);
   events_.emit(GridEvent{GridEventType::SiteRecovered, 0.0, site::kNoJob, data::kNoDataset,
                          s, data::kNoSite, 0.0});
@@ -228,8 +221,6 @@ void FaultInjector::apply_site_recovery(data::SiteIndex s) {
 void FaultInjector::apply_link_scale(net::LinkId link, double scale) {
   CHICSIM_ASSERT_MSG(link < topology_.link_count(), "link id out of range");
   CHICSIM_ASSERT_MSG(scale > 0.0, "bandwidth scale must be positive");
-  logger_.info("link " + std::to_string(link) + " bandwidth scaled to " +
-               util::format_fixed(scale, 3));
   const net::Link& l = topology_.link(link);
   events_.emit(GridEvent{GridEventType::LinkDegraded, 0.0, site::kNoJob, data::kNoDataset,
                          l.a, l.b, scale});
@@ -247,10 +238,6 @@ void FaultInjector::apply_catalog_loss(data::DatasetId dataset) {
     if (!site.alive()) continue;
     if (!site.storage().evict(dataset)) continue;  // pinned or referenced: immune
     ++stats_.catalog_corruptions;
-    logger_.lazy(util::LogLevel::Debug, [&] {
-      return "catalog corruption: dataset " + std::to_string(dataset) +
-             " silently lost at site " + std::to_string(holder);
-    });
     return;
   }
   // Every copy is pinned, referenced or on a dead site: the fault misses.

@@ -29,7 +29,6 @@
 #include "net/transfer_manager.hpp"
 #include "sim/engine.hpp"
 #include "site/site.hpp"
-#include "util/log.hpp"
 
 namespace chicsim::core {
 
@@ -104,12 +103,12 @@ struct FaultStats {
 /// the four services. Owned by the Grid; references are non-owning.
 class FaultInjector {
  public:
-  FaultInjector(const SimulationConfig& config, sim::Engine& engine, util::Logger& logger,
+  FaultInjector(const SimulationConfig& config, sim::Engine& engine,
                 std::vector<site::Site>& sites, const data::DatasetCatalog& catalog,
                 data::ReplicaCatalog& replicas, const net::Topology& topology,
                 net::TransferManager& transfers, FetchPlanner& fetch,
                 ReplicationDriver& replication, JobLifecycle& lifecycle,
-                EventSink& events);
+                EventBus& events);
 
   /// Put every action of `plan` on the calendar. Call before the first
   /// submission event so fault/submission ties resolve in schedule order.
@@ -135,7 +134,6 @@ class FaultInjector {
 
   const SimulationConfig& config_;
   sim::Engine& engine_;
-  util::Logger& logger_;
   std::vector<site::Site>& sites_;
   const data::DatasetCatalog& catalog_;
   data::ReplicaCatalog& replicas_;
@@ -144,7 +142,7 @@ class FaultInjector {
   FetchPlanner& fetch_;
   ReplicationDriver& replication_;
   JobLifecycle& lifecycle_;
-  EventSink& events_;
+  EventBus& events_;
 
   FaultStats stats_;
 };

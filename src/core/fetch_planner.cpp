@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/job_lifecycle.hpp"
 #include "core/replication_driver.hpp"
 #include "util/error.hpp"
 
@@ -12,7 +13,7 @@ FetchPlanner::FetchPlanner(const SimulationConfig& config, sim::Engine& engine,
                            const data::DatasetCatalog& catalog,
                            data::ReplicaCatalog& replicas, const net::Routing& routing,
                            net::TransferManager& transfers, ReplicationDriver& replication,
-                           EventSink& events)
+                           EventBus& events)
     : config_(config),
       engine_(engine),
       sites_(sites),
@@ -27,7 +28,7 @@ FetchPlanner::FetchPlanner(const SimulationConfig& config, sim::Engine& engine,
   pending_fetches_.resize(sites_.size());
 }
 
-void FetchPlanner::bind_jobs(JobRunner& jobs) { jobs_ = &jobs; }
+void FetchPlanner::bind_jobs(JobLifecycle& jobs) { jobs_ = &jobs; }
 
 std::size_t FetchPlanner::pending_fetches(data::SiteIndex dest) const {
   CHICSIM_ASSERT_MSG(dest < pending_fetches_.size(), "site index out of range");

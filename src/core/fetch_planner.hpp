@@ -22,7 +22,6 @@
 
 #include "core/config.hpp"
 #include "core/events.hpp"
-#include "core/service_interfaces.hpp"
 #include "data/catalog.hpp"
 #include "data/replica_catalog.hpp"
 #include "net/routing.hpp"
@@ -33,6 +32,7 @@
 
 namespace chicsim::core {
 
+class JobLifecycle;
 class ReplicationDriver;
 
 class FetchPlanner final {
@@ -42,10 +42,12 @@ class FetchPlanner final {
                std::vector<site::Site>& sites, const data::DatasetCatalog& catalog,
                data::ReplicaCatalog& replicas, const net::Routing& routing,
                net::TransferManager& transfers, ReplicationDriver& replication,
-               EventSink& events);
+               EventBus& events);
 
-  /// Late wiring for the one cyclic seam (fetch completions restart jobs).
-  void bind_jobs(JobRunner& jobs);
+  /// Late wiring for the services' one cycle: the lifecycle is built after
+  /// the planner (dispatch requests inputs), and a landed fetch updates its
+  /// waiters' job records and restarts jobs at the destination.
+  void bind_jobs(JobLifecycle& jobs);
 
   /// Ensure one input of a queued job is (or becomes) locally available at
   /// job.exec_site; increments job.inputs_pending while a fetch is needed.
@@ -123,8 +125,8 @@ class FetchPlanner final {
   const net::Routing& routing_;
   net::TransferManager& transfers_;
   ReplicationDriver& replication_;
-  EventSink& events_;
-  JobRunner* jobs_ = nullptr;
+  EventBus& events_;
+  JobLifecycle* jobs_ = nullptr;
 
   util::Rng rng_fetch_;
   util::Rng rng_faults_;  ///< per-transfer failure draws; untouched otherwise

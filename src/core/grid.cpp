@@ -4,7 +4,6 @@
 #include "core/world_builder.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
-#include "util/string_util.hpp"
 
 namespace chicsim::core {
 
@@ -36,7 +35,6 @@ Grid::Grid(const SimulationConfig& config, workload::Workload workload) : config
 Grid::~Grid() = default;
 
 void Grid::build_world() {
-  logger_.set_clock([this] { return engine_.now(); });
   topology_ = build_topology(config_);
   routing_ = std::make_unique<net::Routing>(topology_);
   transfers_ = std::make_unique<net::TransferManager>(engine_, topology_, *routing_,
@@ -70,15 +68,13 @@ void Grid::wire_services() {
   fetch_ = std::make_unique<FetchPlanner>(config_, engine_, sites_, catalog_,
                                           *replica_catalog_, *routing_, *transfers_,
                                           *replication_, bus_);
-  lifecycle_ = std::make_unique<JobLifecycle>(config_, engine_, logger_, sites_,
-                                              *workload_, *transfers_, *fetch_, *info_,
-                                              bus_, [this] { finish_run(); });
+  lifecycle_ = std::make_unique<JobLifecycle>(config_, engine_, sites_, *workload_,
+                                              *transfers_, *fetch_, *info_, bus_);
   collector_.bind_jobs([this](site::JobId id) -> const site::Job& {
     return lifecycle_->job(id);
   });
   fetch_->bind_jobs(*lifecycle_);
-  replication_->bind_jobs(*lifecycle_);
-  injector_ = std::make_unique<FaultInjector>(config_, engine_, logger_, sites_, catalog_,
+  injector_ = std::make_unique<FaultInjector>(config_, engine_, sites_, catalog_,
                                               *replica_catalog_, topology_, *transfers_,
                                               *fetch_, *replication_, *lifecycle_, bus_);
 }
@@ -111,16 +107,6 @@ void Grid::add_observer(GridObserver* observer) {
 }
 
 void Grid::audit() const { audit_grid(*this); }
-
-void Grid::inject_link_degradation(net::LinkId link, util::SimTime at, double scale) {
-  CHICSIM_ASSERT_MSG(!ran_, "fault injection must be scheduled before run()");
-  CHICSIM_ASSERT_MSG(link < topology_.link_count(), "link id out of range");
-  CHICSIM_ASSERT_MSG(scale > 0.0, "bandwidth scale must be positive");
-  // One injection mechanism: the action joins the same FaultPlan as every
-  // other fault and flows through the FaultInjector (GridEvent emission,
-  // counters, observability) instead of a bespoke calendar lambda.
-  scripted_faults_.degrade_link(at, link, scale);
-}
 
 void Grid::add_fault_plan(const FaultPlan& plan) {
   CHICSIM_ASSERT_MSG(!ran_, "fault plans must be added before run()");
@@ -165,7 +151,9 @@ void Grid::run() {
   lifecycle_->start();
   replication_->start();
   engine_.run();
-  CHICSIM_ASSERT_MSG(finished_, "simulation drained without completing all jobs");
+  CHICSIM_ASSERT_MSG(lifecycle_->completed_jobs() == lifecycle_->job_count(),
+                     "simulation drained without completing all jobs");
+  finish_run();
 }
 
 const RunMetrics& Grid::metrics() const {
@@ -191,7 +179,6 @@ void Grid::finish_run() {
   metrics_.transfers_aborted = ts.transfers_aborted;
   metrics_.reallocations = ts.reallocations;
   metrics_.flows_rescheduled = ts.flows_rescheduled;
-  engine_.stop();
 }
 
 }  // namespace chicsim::core

@@ -15,9 +15,13 @@
 //   ReplicationDriver  the Dataset Scheduler timer, demand signals and
 //                      replication pushes
 //
-// Services communicate through narrow seams (GridView, JobRunner, the
-// EventBus); the Grid itself only composes them, routes the public API and
-// attaches the MetricsCollector that folds the event stream into RunMetrics.
+// Services hold direct references to one another; the only interfaces
+// between them are the policy boundary (GridView) and the EventBus they
+// publish to. FetchPlanner's JobLifecycle& is the one late binding (a landed
+// fetch restarts jobs); a replication push never does, so ReplicationDriver
+// has no edge back to the lifecycle. The Grid itself only composes the
+// services, routes the public API and attaches the MetricsCollector that
+// folds the event stream into RunMetrics.
 #pragma once
 
 #include <memory>
@@ -39,7 +43,6 @@
 #include "net/transfer_manager.hpp"
 #include "sim/engine.hpp"
 #include "site/site.hpp"
-#include "util/log.hpp"
 #include "workload/generator.hpp"
 
 namespace chicsim::core {
@@ -69,14 +72,6 @@ class Grid final {
   /// observer is non-owning and must outlive the run; attach before run()
   /// to see the whole Data Grid Execution.
   void add_observer(GridObserver* observer);
-
-  /// Fault injection: at virtual time `at`, scale the effective bandwidth
-  /// of `link` to nominal x `scale` (e.g. 0.01 models a near-failure; 1.0
-  /// restores). May be called multiple times per link with increasing
-  /// times. Must be called before run(). Sugar for
-  /// add_fault_plan(FaultPlan().degrade_link(at, link, scale)) with eager
-  /// argument validation.
-  void inject_link_degradation(net::LinkId link, util::SimTime at, double scale);
 
   /// Append a scripted failure schedule (docs/robustness.md). Composes
   /// with any earlier plans and with the stochastic streams the config's
@@ -121,7 +116,6 @@ class Grid final {
   [[nodiscard]] std::size_t job_count() const { return lifecycle_->job_count(); }
   [[nodiscard]] const site::Job& job(site::JobId id) const { return lifecycle_->job(id); }
   [[nodiscard]] const SimulationConfig& config() const { return config_; }
-  [[nodiscard]] util::Logger& logger() { return logger_; }
   [[nodiscard]] bool finished() const { return finished_; }
 
  private:
@@ -130,7 +124,6 @@ class Grid final {
   void finish_run();
 
   SimulationConfig config_;
-  util::Logger logger_;
   sim::Engine engine_;
   net::Topology topology_;
   std::unique_ptr<net::Routing> routing_;

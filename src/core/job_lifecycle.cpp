@@ -9,21 +9,18 @@
 namespace chicsim::core {
 
 JobLifecycle::JobLifecycle(const SimulationConfig& config, sim::Engine& engine,
-                           util::Logger& logger, std::vector<site::Site>& sites,
+                           std::vector<site::Site>& sites,
                            const workload::Workload& workload,
                            net::TransferManager& transfers, FetchPlanner& fetch,
-                           const GridView& view, EventSink& events,
-                           std::function<void()> on_all_complete)
+                           const GridView& view, EventBus& events)
     : config_(config),
       engine_(engine),
-      logger_(logger),
       sites_(sites),
       workload_(workload),
       transfers_(transfers),
       fetch_(fetch),
       view_(view),
       events_(events),
-      on_all_complete_(std::move(on_all_complete)),
       es_(make_external_scheduler(config.es)),
       ls_(make_local_scheduler(config.ls)),
       rng_es_(util::Rng::substream(config.seed, "es")),
@@ -135,14 +132,9 @@ void JobLifecycle::decide_and_dispatch(site::Job& job) {
     // The policy routed to a dead site — its view lags reality by up to
     // one staleness epoch, and JobLocal has no choice but its home. Hold
     // the job and re-consult the ES after a backoff.
-    logger_.lazy(util::LogLevel::Debug, [&] {
-      return job.describe() + " -> site " + std::to_string(dest) + " (down; holding)";
-    });
     resubmit_with_backoff(job, dest);
     return;
   }
-  logger_.lazy(util::LogLevel::Debug,
-               [&] { return job.describe() + " -> site " + std::to_string(dest); });
   dispatch(job, dest);
 }
 
@@ -342,7 +334,9 @@ void JobLifecycle::finalize_job(site::JobId id) {
     engine_.schedule_in(0.0, "job_submission", [this, uid] { submit_next_job(uid); });
   }
 
-  if (completed_jobs_ == jobs_.size()) on_all_complete_();
+  // The last job is done: nothing the calendar still holds (DS ticks,
+  // observers' timers) belongs to the run. Grid::run finishes it.
+  if (completed_jobs_ == jobs_.size()) engine_.stop();
 }
 
 }  // namespace chicsim::core

@@ -13,22 +13,23 @@
 //                         job's user submits its next job (closed loop)
 //
 // The ES observes the world only through the information service; this
-// service owns the job table and drives the machinery.
+// service owns the job table and drives the machinery. It is the only
+// service that starts jobs: the FetchPlanner calls try_start_jobs when a
+// fetch lands, and a replication push never does (it frees no processor and
+// satisfies no pending input). When the last job finalizes the lifecycle
+// stops the engine, and Grid::run finishes the run.
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/events.hpp"
 #include "core/scheduler.hpp"
-#include "core/service_interfaces.hpp"
 #include "net/transfer_manager.hpp"
 #include "sim/engine.hpp"
 #include "site/site.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
 
@@ -36,21 +37,19 @@ namespace chicsim::core {
 
 class FetchPlanner;
 
-class JobLifecycle final : public JobRunner {
+class JobLifecycle final {
  public:
   /// Instantiates the job table from `workload` (ids must be dense in
-  /// [1, total]). References are non-owning and must outlive the service;
-  /// `on_all_complete` fires once, when the last job finalizes. The ES/LS
-  /// policies are built from the config; replace them with the setters.
-  JobLifecycle(const SimulationConfig& config, sim::Engine& engine, util::Logger& logger,
+  /// [1, total]). References are non-owning and must outlive the service.
+  /// The ES/LS policies are built from the config; replace them with the
+  /// setters.
+  JobLifecycle(const SimulationConfig& config, sim::Engine& engine,
                std::vector<site::Site>& sites, const workload::Workload& workload,
                net::TransferManager& transfers, FetchPlanner& fetch, const GridView& view,
-               EventSink& events, std::function<void()> on_all_complete);
+               EventBus& events);
 
   void set_external_scheduler(std::unique_ptr<ExternalScheduler> es);
   void set_local_scheduler(std::unique_ptr<LocalScheduler> ls);
-  [[nodiscard]] const ExternalScheduler& external_scheduler() const { return *es_; }
-  [[nodiscard]] const LocalScheduler& local_scheduler() const { return *ls_; }
 
   /// Kick off the submission processes. Closed loop: all users issue their
   /// first submission at t=0 (user order breaks ties). Open loop: per-user
@@ -66,9 +65,10 @@ class JobLifecycle final : public JobRunner {
   /// Submissions currently queued at the centralized ES (test seam).
   [[nodiscard]] std::size_t central_queue_depth() const { return central_queue_.size(); }
 
-  // --- JobRunner (the seam the data services poke) ---
-  [[nodiscard]] site::Job& job_mut(site::JobId id) override;
-  void try_start_jobs(data::SiteIndex s) override;
+  // --- what the FetchPlanner calls when a fetch lands ---
+  [[nodiscard]] site::Job& job_mut(site::JobId id);
+  /// Let the site's Local Scheduler start every queued job it can.
+  void try_start_jobs(data::SiteIndex s);
 
   // --- fault recovery (docs/robustness.md) ---
   /// Site-crash recovery: every job stranded on `s` (queued, running, or
@@ -97,7 +97,7 @@ class JobLifecycle final : public JobRunner {
   /// Start (or, origin down, defer with backoff) the output-return leg.
   void start_output_return(site::JobId id, util::Megabytes output_mb);
   /// The job is fully done (output landed, if any): announce it and
-  /// continue the user's closed loop.
+  /// continue the user's closed loop; after the last job, stop the engine.
   void finalize_job(site::JobId id);
   /// Put a Submitted job back in front of the ES after a capped
   /// exponential backoff; `stranded_site` is the site that failed it.
@@ -106,14 +106,12 @@ class JobLifecycle final : public JobRunner {
 
   const SimulationConfig& config_;
   sim::Engine& engine_;
-  util::Logger& logger_;
   std::vector<site::Site>& sites_;
   const workload::Workload& workload_;
   net::TransferManager& transfers_;
   FetchPlanner& fetch_;
   const GridView& view_;
-  EventSink& events_;
-  std::function<void()> on_all_complete_;
+  EventBus& events_;
 
   std::unique_ptr<ExternalScheduler> es_;
   std::unique_ptr<LocalScheduler> ls_;

@@ -58,7 +58,7 @@ ReplicationDriver::ReplicationDriver(const SimulationConfig& config, sim::Engine
                                      const data::DatasetCatalog& catalog,
                                      data::ReplicaCatalog& replicas,
                                      net::TransferManager& transfers, const GridView& view,
-                                     EventSink& events)
+                                     EventBus& events)
     : config_(config),
       engine_(engine),
       sites_(sites),
@@ -74,8 +74,6 @@ ReplicationDriver::ReplicationDriver(const SimulationConfig& config, sim::Engine
 }
 
 ReplicationDriver::~ReplicationDriver() = default;
-
-void ReplicationDriver::bind_jobs(JobRunner& jobs) { jobs_ = &jobs; }
 
 void ReplicationDriver::set_dataset_scheduler(std::unique_ptr<DatasetScheduler> ds) {
   CHICSIM_ASSERT_MSG(ds != nullptr, "null dataset scheduler");
@@ -177,8 +175,6 @@ void ReplicationDriver::start_replication(data::SiteIndex from, data::DatasetId 
         // job references it); drop it rather than let it squat
         // above the storage budget.
         if (outcome.transient) (void)sites_[dest].storage().evict(dataset);
-        CHICSIM_ASSERT_MSG(jobs_ != nullptr, "replication driver not wired");
-        jobs_->try_start_jobs(dest);
       });
   // Completion runs through the calendar, never synchronously, so the
   // record is still there to take the wire handle.

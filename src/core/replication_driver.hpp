@@ -7,6 +7,11 @@
 // ReplicationContext::view()), but *acts* on ground truth: a push toward a
 // site that already holds the dataset, or of a dataset this site no longer
 // holds, is a no-op regardless of what a stale snapshot claimed.
+//
+// The driver moves data and never starts jobs (§1's decoupling): a landed
+// push satisfies no job's pending inputs (those wait on their own fetches),
+// frees no processor and leaves every site queue as it was, so it has
+// nothing to tell the JobLifecycle.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +23,6 @@
 #include "core/config.hpp"
 #include "core/events.hpp"
 #include "core/scheduler.hpp"
-#include "core/service_interfaces.hpp"
 #include "data/catalog.hpp"
 #include "data/replica_catalog.hpp"
 #include "data/storage.hpp"
@@ -36,14 +40,10 @@ class ReplicationDriver final {
   ReplicationDriver(const SimulationConfig& config, sim::Engine& engine,
                     std::vector<site::Site>& sites, const data::DatasetCatalog& catalog,
                     data::ReplicaCatalog& replicas, net::TransferManager& transfers,
-                    const GridView& view, EventSink& events);
+                    const GridView& view, EventBus& events);
   ~ReplicationDriver();
 
-  /// Late wiring for the one cyclic seam (push completions restart jobs).
-  void bind_jobs(JobRunner& jobs);
-
   void set_dataset_scheduler(std::unique_ptr<DatasetScheduler> ds);
-  [[nodiscard]] const DatasetScheduler& dataset_scheduler() const { return *ds_; }
 
   /// Arm the periodic sweep: every ds_check_period_s, evaluate every
   /// site's DS in site order — equivalent to per-site DS instances with a
@@ -99,8 +99,7 @@ class ReplicationDriver final {
   data::ReplicaCatalog& replicas_;
   net::TransferManager& transfers_;
   const GridView& view_;
-  EventSink& events_;
-  JobRunner* jobs_ = nullptr;
+  EventBus& events_;
 
   std::unique_ptr<DatasetScheduler> ds_;
   std::unique_ptr<sim::PeriodicTimer> timer_;

@@ -32,12 +32,6 @@ JobSpans& SpanBuilder::job_mut(site::JobId id) {
   return j;
 }
 
-const JobSpans* SpanBuilder::find_job(site::JobId id) const {
-  if (id == site::kNoJob || id > jobs_.size()) return nullptr;
-  const JobSpans& j = jobs_[id - 1];
-  return j.job == site::kNoJob ? nullptr : &j;
-}
-
 void SpanBuilder::on_event(const GridEvent& e) {
   switch (e.type) {
     case GridEventType::JobSubmitted: {

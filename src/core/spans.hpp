@@ -106,9 +106,6 @@ class SpanBuilder final : public GridObserver {
   /// Per-job records, indexed by job id - 1 (job ids are dense from 1).
   [[nodiscard]] const std::vector<JobSpans>& jobs() const { return jobs_; }
 
-  /// Lookup by id; nullptr when the job was never seen.
-  [[nodiscard]] const JobSpans* find_job(site::JobId id) const;
-
   /// All transfers in start order.
   [[nodiscard]] const std::vector<TransferSpan>& transfers() const { return transfers_; }
 

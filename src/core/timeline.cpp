@@ -5,34 +5,15 @@
 
 #include "core/grid.hpp"
 #include "util/csv.hpp"
-#include "util/error.hpp"
 #include "util/string_util.hpp"
 
 namespace chicsim::core {
 
 TimelineRecorder::TimelineRecorder(Grid& grid, util::SimTime period_s)
-    : grid_(grid), period_s_(period_s) {
-  CHICSIM_ASSERT_MSG(period_s > 0.0, "timeline period must be positive");
+    : grid_(grid),
+      timer_(grid.engine(), grid.engine().now() + period_s, period_s, [this] { sample_now(); },
+             "timeline_sample") {
   sample_now();
-  arm();
-}
-
-TimelineRecorder::~TimelineRecorder() {
-  stopped_ = true;
-  if (pending_event_ != sim::kNoEvent) (void)grid_.engine().cancel(pending_event_);
-}
-
-void TimelineRecorder::arm() {
-  pending_event_ = grid_.engine().schedule_in(period_s_, "timeline_sample", [this] {
-    pending_event_ = sim::kNoEvent;
-    if (stopped_) return;
-    // Re-arm before sampling: if sample_now() ever reaches code that
-    // destroys this recorder (an observer teardown path), the destructor
-    // must find the next event in pending_event_ to cancel it — sampling
-    // first would leave a dangling closure in the calendar.
-    arm();
-    sample_now();
-  });
 }
 
 void TimelineRecorder::sample_now() {

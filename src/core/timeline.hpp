@@ -3,15 +3,16 @@
 // The paper reports end-of-run averages; operationally one also wants to
 // see the *transient* — how long the hotspot lasts before replication
 // dissolves it, how deep queues get, how busy the network is.  A
-// TimelineRecorder rides the event calendar, samples the grid every
-// `period` virtual seconds, and exposes the series for reporting (CSV or
-// the convergence example's console plot).
+// TimelineRecorder rides the event calendar on a sim::PeriodicTimer,
+// samples the grid every `period` virtual seconds, and exposes the series
+// for reporting (CSV or the convergence example's console plot).
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <vector>
 
+#include "sim/engine.hpp"
 #include "util/units.hpp"
 
 namespace chicsim::core {
@@ -32,14 +33,10 @@ struct TimelineSample {
 
 class TimelineRecorder {
  public:
-  /// Start sampling `grid` every `period_s` of virtual time. Must be
+  /// Start sampling `grid` every `period_s` (> 0) of virtual time. Must be
   /// constructed after the Grid and before run(); samples stop when the
-  /// simulation ends. The recorder must outlive the run.
+  /// simulation ends or the recorder is destroyed, whichever comes first.
   TimelineRecorder(Grid& grid, util::SimTime period_s);
-
-  TimelineRecorder(const TimelineRecorder&) = delete;
-  TimelineRecorder& operator=(const TimelineRecorder&) = delete;
-  ~TimelineRecorder();
 
   [[nodiscard]] const std::vector<TimelineSample>& samples() const { return samples_; }
 
@@ -51,14 +48,8 @@ class TimelineRecorder {
 
  private:
   Grid& grid_;
-  util::SimTime period_s_;
   std::vector<TimelineSample> samples_;
-  // Pimpl-free: the periodic timer lives in the grid's engine; we hold the
-  // event id chain through a small self-rescheduling closure.
-  std::uint64_t pending_event_ = 0;
-  bool stopped_ = false;
-
-  void arm();
+  sim::PeriodicTimer timer_;  ///< destroying it cancels the next sample
 };
 
 }  // namespace chicsim::core

@@ -32,25 +32,6 @@ double OnlineStats::stddev() const { return std::sqrt(variance()); }
 double OnlineStats::min() const { return n_ == 0 ? 0.0 : min_; }
 double OnlineStats::max() const { return n_ == 0 ? 0.0 : max_; }
 
-void OnlineStats::merge(const OnlineStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  // Chan et al. parallel variance combination.
-  double delta = other.mean_ - mean_;
-  std::size_t total = n_ + other.n_;
-  m2_ += other.m2_ +
-         delta * delta * static_cast<double>(n_) * static_cast<double>(other.n_) /
-             static_cast<double>(total);
-  mean_ += delta * static_cast<double>(other.n_) / static_cast<double>(total);
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ = total;
-}
-
 Summary summarize(const OnlineStats& s) {
   return Summary{s.count(), s.mean(), s.stddev(), s.min(), s.max()};
 }
@@ -71,11 +52,6 @@ double percentile(std::vector<double> samples, double q) {
   if (lo + 1 >= samples.size()) return samples.back();
   double frac = pos - static_cast<double>(lo);
   return samples[lo] * (1.0 - frac) + samples[lo + 1] * frac;
-}
-
-double ci95_halfwidth(const Summary& s) {
-  if (s.count < 2) return 0.0;
-  return 1.96 * s.stddev / std::sqrt(static_cast<double>(s.count));
 }
 
 double coefficient_of_variation(const Summary& s) {

@@ -26,9 +26,6 @@ class OnlineStats {
   [[nodiscard]] double max() const;
   [[nodiscard]] double sum() const { return sum_; }
 
-  /// Merge another accumulator into this one (parallel reduction).
-  void merge(const OnlineStats& other);
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
@@ -55,10 +52,6 @@ struct Summary {
 /// Percentile of a sample set (linear interpolation between order
 /// statistics). `q` in [0, 1]. Sorts a copy — fine for reporting paths.
 [[nodiscard]] double percentile(std::vector<double> samples, double q);
-
-/// Half-width of the ~95% normal confidence interval of the mean
-/// (1.96 * s / sqrt(n)); 0 for fewer than two samples.
-[[nodiscard]] double ci95_halfwidth(const Summary& s);
 
 /// Relative spread (stddev / mean), 0 when the mean is 0. Used by the
 /// cross-seed variance check.

@@ -26,9 +26,9 @@ TEST(FaultInjection, GridSurvivesBackboneDegradation) {
   SimulationConfig cfg = fault_config();
   Grid grid(cfg);
   // Links 0..num_regions-1 are the root<->region backbone (added first).
-  for (net::LinkId l = 0; l < cfg.num_regions; ++l) {
-    grid.inject_link_degradation(l, 1000.0, 0.05);
-  }
+  FaultPlan plan;
+  for (net::LinkId l = 0; l < cfg.num_regions; ++l) plan.degrade_link(1000.0, l, 0.05);
+  grid.add_fault_plan(plan);
   grid.run();
   EXPECT_EQ(grid.metrics().jobs_completed, cfg.total_jobs);
 }
@@ -39,9 +39,9 @@ TEST(FaultInjection, DegradedBackboneSlowsDataHeavyScheduling) {
   healthy.run();
 
   Grid degraded(cfg);
-  for (net::LinkId l = 0; l < cfg.num_regions; ++l) {
-    degraded.inject_link_degradation(l, 0.0, 0.1);
-  }
+  FaultPlan plan;
+  for (net::LinkId l = 0; l < cfg.num_regions; ++l) plan.degrade_link(0.0, l, 0.1);
+  degraded.add_fault_plan(plan);
   degraded.run();
   EXPECT_GT(degraded.metrics().avg_response_time_s,
             healthy.metrics().avg_response_time_s * 1.2);
@@ -52,18 +52,19 @@ TEST(FaultInjection, RecoveryRestoresThroughput) {
   Grid flapping(cfg);
   // Degrade early, restore shortly after: the run should land far closer
   // to healthy than to permanently-degraded.
+  FaultPlan flap_plan;
   for (net::LinkId l = 0; l < cfg.num_regions; ++l) {
-    flapping.inject_link_degradation(l, 0.0, 0.1);
-    flapping.inject_link_degradation(l, 2000.0, 1.0);
+    flap_plan.degrade_link(0.0, l, 0.1).degrade_link(2000.0, l, 1.0);
   }
+  flapping.add_fault_plan(flap_plan);
   flapping.run();
 
   Grid healthy(cfg);
   healthy.run();
   Grid degraded(cfg);
-  for (net::LinkId l = 0; l < cfg.num_regions; ++l) {
-    degraded.inject_link_degradation(l, 0.0, 0.1);
-  }
+  FaultPlan degrade_plan;
+  for (net::LinkId l = 0; l < cfg.num_regions; ++l) degrade_plan.degrade_link(0.0, l, 0.1);
+  degraded.add_fault_plan(degrade_plan);
   degraded.run();
 
   double flap = flapping.metrics().avg_response_time_s;
@@ -82,9 +83,9 @@ TEST(FaultInjection, JobDataPresentWithReplicationIsResilient) {
   Grid healthy(cfg);
   healthy.run();
   Grid degraded(cfg);
-  for (net::LinkId l = 0; l < cfg.num_regions; ++l) {
-    degraded.inject_link_degradation(l, 0.0, 0.2);
-  }
+  FaultPlan plan;
+  for (net::LinkId l = 0; l < cfg.num_regions; ++l) plan.degrade_link(0.0, l, 0.2);
+  degraded.add_fault_plan(plan);
   degraded.run();
   EXPECT_LT(degraded.metrics().avg_response_time_s,
             healthy.metrics().avg_response_time_s * 2.5);
@@ -94,13 +95,13 @@ TEST(FaultInjection, SchedulingAfterRunStartsRejected) {
   SimulationConfig cfg = fault_config();
   Grid grid(cfg);
   grid.run();
-  EXPECT_THROW(grid.inject_link_degradation(0, 1.0, 0.5), util::SimError);
+  EXPECT_THROW(grid.add_fault_plan(FaultPlan{}.degrade_link(1.0, 0, 0.5)), util::SimError);
 }
 
 TEST(FaultInjection, InvalidParametersRejected) {
   Grid grid(fault_config());
-  EXPECT_THROW(grid.inject_link_degradation(999, 1.0, 0.5), util::SimError);
-  EXPECT_THROW(grid.inject_link_degradation(0, 1.0, 0.0), util::SimError);
+  EXPECT_THROW(grid.add_fault_plan(FaultPlan{}.degrade_link(1.0, 999, 0.5)), util::SimError);
+  EXPECT_THROW(grid.add_fault_plan(FaultPlan{}.degrade_link(1.0, 0, 0.0)), util::SimError);
 }
 
 }  // namespace

@@ -49,36 +49,6 @@ TEST(OnlineStats, NegativeValues) {
   EXPECT_DOUBLE_EQ(s.max(), 3.0);
 }
 
-TEST(OnlineStats, MergeMatchesSequential) {
-  Rng rng(1);
-  OnlineStats whole;
-  OnlineStats left;
-  OnlineStats right;
-  for (int i = 0; i < 1000; ++i) {
-    double x = rng.uniform(-10.0, 10.0);
-    whole.add(x);
-    (i < 400 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(OnlineStats, MergeWithEmptySides) {
-  OnlineStats a;
-  OnlineStats b;
-  b.add(2.0);
-  a.merge(b);  // empty += non-empty
-  EXPECT_EQ(a.count(), 1u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  OnlineStats c;
-  a.merge(c);  // non-empty += empty
-  EXPECT_EQ(a.count(), 1u);
-}
-
 TEST(Summary, FromSamplesMatchesOnline) {
   std::vector<double> samples{1.0, 2.0, 3.0, 4.0};
   Summary s = summarize(samples);
@@ -110,23 +80,6 @@ TEST(Percentile, SingleSample) {
 TEST(Percentile, EmptyOrBadQThrows) {
   EXPECT_THROW((void)percentile({}, 0.5), SimError);
   EXPECT_THROW((void)percentile({1.0}, 1.5), SimError);
-}
-
-TEST(Ci95, ZeroForSmallSamples) {
-  Summary s;
-  s.count = 1;
-  s.stddev = 10.0;
-  EXPECT_DOUBLE_EQ(ci95_halfwidth(s), 0.0);
-}
-
-TEST(Ci95, ShrinksWithSampleSize) {
-  Summary small;
-  small.count = 4;
-  small.stddev = 2.0;
-  Summary big = small;
-  big.count = 400;
-  EXPECT_GT(ci95_halfwidth(small), ci95_halfwidth(big));
-  EXPECT_NEAR(ci95_halfwidth(small), 1.96 * 2.0 / 2.0, 1e-12);
 }
 
 TEST(CoefficientOfVariation, Basics) {
