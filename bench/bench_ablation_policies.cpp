@@ -25,7 +25,7 @@ double run_pair(const core::SimulationConfig& cfg, const std::vector<std::uint64
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using core::DsAlgorithm;
   using core::EsAlgorithm;
   util::CliParser cli("bench_ablation_policies",

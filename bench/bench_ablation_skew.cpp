@@ -13,7 +13,7 @@
 #include "util/string_util.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace chicsim;
   using core::DsAlgorithm;
   using core::EsAlgorithm;

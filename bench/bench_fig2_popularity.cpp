@@ -13,7 +13,7 @@
 #include "util/table.hpp"
 #include "workload/generator.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace chicsim;
   util::CliParser cli("bench_fig2_popularity", "reproduce Figure 2 (dataset popularity)");
   bench::add_standard_options(cli);

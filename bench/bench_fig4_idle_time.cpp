@@ -9,7 +9,7 @@
 
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace chicsim;
   using core::DsAlgorithm;
   using core::EsAlgorithm;

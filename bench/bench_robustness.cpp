@@ -31,7 +31,7 @@ std::uint64_t summed(const chicsim::core::CellResult& cell,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace chicsim;
   using core::CellResult;
   using core::DsAlgorithm;

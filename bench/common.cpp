@@ -1,6 +1,7 @@
 #include "common.hpp"
 
 #include <cstdio>
+#include <exception>
 #include <fstream>
 
 #include "core/grid.hpp"
@@ -37,7 +38,7 @@ void add_observability_options(util::CliParser& cli) {
   cli.add_option("site-metrics-out", "",
                  "write per-site/per-link metrics of one observed cell (.json or CSV)");
   cli.add_option("spans-csv", "", "write the per-job span table of one observed cell");
-  cli.add_option("profile", "", "print a wall-clock event-loop profile (any value enables)");
+  cli.add_flag("profile", "print a wall-clock event-loop profile of the observed cell");
 }
 
 namespace {
@@ -53,7 +54,7 @@ void maybe_run_observed_cell(const util::CliParser& cli, core::SimulationConfig 
   std::string trace_out = cli.get("trace-out");
   std::string metrics_out = cli.get("site-metrics-out");
   std::string spans_csv = cli.get("spans-csv");
-  bool profile = !cli.get("profile").empty();
+  bool profile = cli.get_flag("profile");
   if (trace_out.empty() && metrics_out.empty() && spans_csv.empty() && !profile) return;
 
   config.es = es;
@@ -208,3 +209,12 @@ int ShapeChecks::finish() const {
 }
 
 }  // namespace chicsim::bench
+
+int main(int argc, char** argv) {
+  try {
+    return bench_main(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
+}

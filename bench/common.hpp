@@ -15,6 +15,12 @@
 #include "util/cli.hpp"
 #include "util/svg_chart.hpp"
 
+/// Each bench binary's body. common.cpp holds the one main(): it runs
+/// bench_main and turns any std::exception (an unknown option, a malformed
+/// number, a config validate() rejects) into an `error: …` line on stderr
+/// and exit code 1, as the examples do.
+int bench_main(int argc, char** argv);
+
 namespace chicsim::bench {
 
 /// Standard options shared by the experiment benches: bandwidth, seeds,
@@ -23,8 +29,8 @@ void add_standard_options(util::CliParser& cli);
 
 /// Observability options: --trace-out (Chrome trace JSON for Perfetto),
 /// --site-metrics-out (per-site/per-link metric registry, CSV or JSON by
-/// extension), --spans-csv (per-job span table), --profile (wall-clock
-/// event-loop profile printed after the run).
+/// extension), --spans-csv (per-job span table), --profile (flag:
+/// wall-clock event-loop profile printed after the run).
 void add_observability_options(util::CliParser& cli);
 
 /// If any observability flag was given, run ONE representative cell

@@ -1,7 +1,5 @@
 #include "core/faults.hpp"
 
-#include <algorithm>
-
 #include "core/fetch_planner.hpp"
 #include "core/job_lifecycle.hpp"
 #include "core/replication_driver.hpp"
@@ -131,7 +129,7 @@ FaultPlan FaultPlan::generate(const SimulationConfig& config) {
 FaultInjector::FaultInjector(const SimulationConfig& config, sim::Engine& engine,
                              std::vector<site::Site>& sites,
                              const data::DatasetCatalog& catalog,
-                             data::ReplicaCatalog& replicas, const net::Topology& topology,
+                             const data::ReplicaCatalog& replicas, const net::Topology& topology,
                              net::TransferManager& transfers, FetchPlanner& fetch,
                              ReplicationDriver& replication, JobLifecycle& lifecycle,
                              EventBus& events)
@@ -153,11 +151,6 @@ void FaultInjector::schedule(const FaultPlan& plan) {
     FaultAction a = action;  // plan may not outlive scheduling; copy by value
     engine_.schedule_at(a.at, "fault_action", [this, a] { apply(a); });
   }
-}
-
-bool FaultInjector::site_alive(data::SiteIndex s) const {
-  CHICSIM_ASSERT_MSG(s < sites_.size(), "site index out of range");
-  return sites_[s].alive();
 }
 
 void FaultInjector::apply(const FaultAction& action) {
@@ -191,19 +184,12 @@ void FaultInjector::apply_site_crash(data::SiteIndex s) {
 
   // Recovery choreography. The order is load-bearing: transfer teardown
   // (replication, then fetches) releases its pins against still-intact
-  // storage; only then is the cache wiped and the catalog reconciled; the
-  // lifecycle resubmits stranded jobs last, against the post-crash world.
+  // storage; only then is the cache wiped and the wiped copies dropped
+  // from the catalog; the lifecycle resubmits stranded jobs last, against
+  // the post-crash world.
   replication_.on_site_crashed(s);
   fetch_.on_site_crashed(s);
-
-  std::vector<data::DatasetId> dropped = site.storage().invalidate_unpinned();
-  for (data::DatasetId d : dropped) {
-    bool removed = replicas_.remove(d, s);
-    CHICSIM_ASSERT_MSG(removed, "crash dropped a replica the catalog did not know");
-    events_.emit(GridEvent{GridEventType::ReplicaEvicted, 0.0, site::kNoJob, d, s,
-                           data::kNoSite, catalog_.size_mb(d)});
-  }
-
+  replication_.drop_replicas(s, site.storage().invalidate_unpinned());
   lifecycle_.on_site_crashed(s);
 }
 
@@ -232,7 +218,8 @@ void FaultInjector::apply_catalog_loss(data::DatasetId dataset) {
   // Silently destroy the first droppable physical copy: unpinned (masters
   // are tape-backed) and unreferenced (no transfer or job is holding it).
   // The replica catalog is NOT told — it now lies, and stays wrong until a
-  // source selection trips over the lie or the end-of-run reconcile sweep.
+  // source selection trips over the lie or the end-of-run sweep
+  // (ReplicationDriver::reconcile_catalog).
   for (data::SiteIndex holder : replicas_.locations(dataset)) {
     site::Site& site = sites_[holder];
     if (!site.alive()) continue;
@@ -241,20 +228,6 @@ void FaultInjector::apply_catalog_loss(data::DatasetId dataset) {
     return;
   }
   // Every copy is pinned, referenced or on a dead site: the fault misses.
-}
-
-void FaultInjector::reconcile_catalog() {
-  for (data::DatasetId d = 0; d < catalog_.size(); ++d) {
-    // Copy: remove() mutates the location vector we would be iterating.
-    std::vector<data::SiteIndex> holders = replicas_.locations(d);
-    for (data::SiteIndex h : holders) {
-      if (sites_[h].storage().contains(d)) continue;
-      bool removed = replicas_.remove(d, h);
-      CHICSIM_ASSERT(removed);
-      events_.emit(GridEvent{GridEventType::CatalogInvalidated, 0.0, site::kNoJob, d, h,
-                             data::kNoSite, catalog_.size_mb(d)});
-    }
-  }
 }
 
 }  // namespace chicsim::core

@@ -14,8 +14,10 @@
 // before the first submission and, when one fires, runs the cross-service
 // recovery choreography: aborting transfers touching a dead site, wiping
 // its cache (pinned master copies survive — a crashed archive comes back
-// with its tape store intact), reconciling the replica catalog, and
-// handing stranded jobs back to the JobLifecycle for resubmission.
+// with its tape store intact), having the ReplicationDriver drop the wiped
+// copies from the replica catalog, and handing stranded jobs back to the
+// JobLifecycle for resubmission. The injector only reads the catalog: its
+// one writer is the ReplicationDriver.
 #pragma once
 
 #include <cstdint>
@@ -105,7 +107,7 @@ class FaultInjector {
  public:
   FaultInjector(const SimulationConfig& config, sim::Engine& engine,
                 std::vector<site::Site>& sites, const data::DatasetCatalog& catalog,
-                data::ReplicaCatalog& replicas, const net::Topology& topology,
+                const data::ReplicaCatalog& replicas, const net::Topology& topology,
                 net::TransferManager& transfers, FetchPlanner& fetch,
                 ReplicationDriver& replication, JobLifecycle& lifecycle,
                 EventBus& events);
@@ -115,15 +117,6 @@ class FaultInjector {
   void schedule(const FaultPlan& plan);
 
   [[nodiscard]] const FaultStats& stats() const { return stats_; }
-
-  /// Ground-truth liveness (test seam; policies must use GridView).
-  [[nodiscard]] bool site_alive(data::SiteIndex s) const;
-
-  /// Remove replica-catalog entries whose physical copy silently vanished
-  /// (the CatalogEntryLoss stream), emitting CatalogInvalidated per lie.
-  /// The FetchPlanner reconciles lazily on discovery; this sweeps whatever
-  /// was never looked at, so the end-of-run audit sees a truthful catalog.
-  void reconcile_catalog();
 
  private:
   void apply(const FaultAction& action);
@@ -136,7 +129,7 @@ class FaultInjector {
   sim::Engine& engine_;
   std::vector<site::Site>& sites_;
   const data::DatasetCatalog& catalog_;
-  data::ReplicaCatalog& replicas_;
+  const data::ReplicaCatalog& replicas_;
   const net::Topology& topology_;
   net::TransferManager& transfers_;
   FetchPlanner& fetch_;

@@ -11,7 +11,7 @@ namespace chicsim::core {
 FetchPlanner::FetchPlanner(const SimulationConfig& config, sim::Engine& engine,
                            std::vector<site::Site>& sites,
                            const data::DatasetCatalog& catalog,
-                           data::ReplicaCatalog& replicas, const net::Routing& routing,
+                           const data::ReplicaCatalog& replicas, const net::Routing& routing,
                            net::TransferManager& transfers, ReplicationDriver& replication,
                            EventBus& events)
     : config_(config),
@@ -48,54 +48,44 @@ void FetchPlanner::request_input(site::Job& job, data::DatasetId input) {
   }
 
   ++job.inputs_pending;
-  auto& pending = pending_fetches_[dest];
-  auto it = pending.find(input);
-  if (it != pending.end()) {
+  auto [it, inserted] = pending_fetches_[dest].try_emplace(input);
+  PendingFetch& fetch = it->second;
+  fetch.waiters.push_back(job.id);
+  if (!inserted) {
     // A fetch of this dataset toward this site is already in flight; join.
-    it->second.waiters.push_back(job.id);
-    events_.emit(GridEvent{GridEventType::FetchJoined, 0.0, job.id, input,
-                           it->second.source, dest, catalog_.size_mb(input)});
+    events_.emit(GridEvent{GridEventType::FetchJoined, 0.0, job.id, input, fetch.source, dest,
+                           catalog_.size_mb(input)});
     // A parked fetch (crash recovery) has no source yet; there is no holder
     // whose popularity tracker could record this access, so skip it — the
     // bookkeeping miss lasts only as long as the outage.
-    if (it->second.source != data::kNoSite) {
-      replication_.note_access(input, it->second.source, job.origin_site, dest);
+    if (fetch.source != data::kNoSite) {
+      replication_.note_access(input, fetch.source, job.origin_site, dest);
     }
     return;
   }
 
+  // With no live, truthful holder right now (crash-heavy moment) the fetch
+  // is parked and polls with backoff until a replica resurfaces.
   data::SiteIndex source = choose_source(input, dest);
-  if (source == data::kNoSite) {
-    // No live, truthful holder right now (crash-heavy moment): park the
-    // fetch and poll with backoff until a replica resurfaces.
-    events_.emit(GridEvent{GridEventType::FetchStarted, 0.0, job.id, input,
-                           data::kNoSite, dest, catalog_.size_mb(input)});
-    PendingFetch fetch;
-    fetch.waiters.push_back(job.id);
-    auto [pit, inserted] = pending.emplace(input, std::move(fetch));
-    CHICSIM_ASSERT(inserted);
-    schedule_retry(dest, input, pit->second);
-    return;
-  }
-  replication_.note_access(input, source, job.origin_site, dest);
+  if (source != data::kNoSite) replication_.note_access(input, source, job.origin_site, dest);
   events_.emit(GridEvent{GridEventType::FetchStarted, 0.0, job.id, input, source, dest,
                          catalog_.size_mb(input)});
-  PendingFetch fetch;
-  fetch.waiters.push_back(job.id);
-  auto [pit, inserted] = pending.emplace(input, std::move(fetch));
-  CHICSIM_ASSERT(inserted);
-  begin_transfer(dest, input, pit->second, source);
+  attempt(dest, input, fetch, source);
 }
 
-void FetchPlanner::begin_transfer(data::SiteIndex dest, data::DatasetId dataset,
-                                  PendingFetch& fetch, data::SiteIndex source) {
+void FetchPlanner::attempt(data::SiteIndex dest, data::DatasetId dataset,
+                           PendingFetch& fetch, data::SiteIndex source) {
+  if (source == data::kNoSite) {
+    schedule_retry(dest, dataset, fetch);  // nobody to serve it yet
+    return;
+  }
   CHICSIM_ASSERT_MSG(sites_[source].alive(), "fetch source must be alive");
   sites_[source].storage().acquire(dataset);  // keep the source copy alive
   fetch.attempts = 0;  // progress: the no-progress backoff budget resets
   fetch.source = source;
   fetch.transfer = transfers_.start(
       source, dest, catalog_.size_mb(dataset), net::TransferPurpose::JobFetch,
-      [this, dest, dataset](net::TransferId) { on_fetch_complete(dest, dataset); });
+      [this, dest, dataset](net::TransferId) { complete(dest, dataset); });
   arm_transfer_fault(dest, dataset, fetch.transfer, catalog_.size_mb(dataset));
 }
 
@@ -121,7 +111,8 @@ void FetchPlanner::on_transfer_fault(data::SiteIndex dest, data::DatasetId datas
   // duration) or been torn down by a crash; only the exact in-flight
   // transfer is failable.
   if (it == pending.end() || it->second.transfer != transfer) return;
-  fail_active_transfer(dest, dataset, it->second);
+  cut_wire(dataset, it->second);
+  schedule_retry(dest, dataset, it->second);
 }
 
 bool FetchPlanner::fail_fetch(data::SiteIndex dest, data::DatasetId dataset) {
@@ -129,20 +120,17 @@ bool FetchPlanner::fail_fetch(data::SiteIndex dest, data::DatasetId dataset) {
   auto& pending = pending_fetches_[dest];
   auto it = pending.find(dataset);
   if (it == pending.end() || it->second.transfer == net::kNoTransfer) return false;
-  fail_active_transfer(dest, dataset, it->second);
+  cut_wire(dataset, it->second);
+  schedule_retry(dest, dataset, it->second);
   return true;
 }
 
-void FetchPlanner::fail_active_transfer(data::SiteIndex dest, data::DatasetId dataset,
-                                        PendingFetch& fetch) {
+void FetchPlanner::cut_wire(data::DatasetId dataset, PendingFetch& fetch) {
   CHICSIM_ASSERT(fetch.transfer != net::kNoTransfer);
   transfers_.abort(fetch.transfer);
-  // The source pin is released against intact storage: a referenced entry
-  // cannot have been evicted, and crash teardown runs before the wipe.
   sites_[fetch.source].storage().release(dataset);
   fetch.transfer = net::kNoTransfer;
   fetch.source = data::kNoSite;
-  schedule_retry(dest, dataset, fetch);
 }
 
 void FetchPlanner::schedule_retry(data::SiteIndex dest, data::DatasetId dataset,
@@ -173,13 +161,7 @@ void FetchPlanner::retry_fetch(data::SiteIndex dest, data::DatasetId dataset) {
   if (sites_[dest].storage().contains(dataset)) {
     // A replication push (or recovered master) landed the data here while
     // we were backing off; complete without touching the network.
-    PendingFetch done = std::move(fetch);
-    pending.erase(it);
-    events_.emit(GridEvent{GridEventType::FetchCompleted, 0.0,
-                           done.waiters.empty() ? site::kNoJob : done.waiters.front(),
-                           dataset, dest, dest, catalog_.size_mb(dataset)});
-    (void)replication_.store_replica(dest, dataset);  // LRU touch
-    land_waiters(dest, dataset, done.waiters);
+    complete(dest, dataset);
     return;
   }
 
@@ -187,11 +169,7 @@ void FetchPlanner::retry_fetch(data::SiteIndex dest, data::DatasetId dataset) {
   events_.emit(GridEvent{GridEventType::TransferRetried, 0.0,
                          fetch.waiters.empty() ? site::kNoJob : fetch.waiters.front(),
                          dataset, source, dest, catalog_.size_mb(dataset)});
-  if (source == data::kNoSite) {
-    schedule_retry(dest, dataset, fetch);  // still nobody to serve it
-    return;
-  }
-  begin_transfer(dest, dataset, fetch, source);
+  attempt(dest, dataset, fetch, source);
 }
 
 void FetchPlanner::on_site_crashed(data::SiteIndex s) {
@@ -201,70 +179,44 @@ void FetchPlanner::on_site_crashed(data::SiteIndex s) {
   // (still intact) sources, drop the waiters wholesale — the JobLifecycle
   // resets and resubmits those jobs right after this teardown.
   auto& toward = pending_fetches_[s];
-  std::vector<data::DatasetId> keys;
-  keys.reserve(toward.size());
-  for (const auto& [dataset, fetch] : toward) keys.push_back(dataset);
-  std::sort(keys.begin(), keys.end());
-  for (data::DatasetId dataset : keys) {
-    PendingFetch& fetch = toward.at(dataset);
-    if (fetch.transfer != net::kNoTransfer) {
-      transfers_.abort(fetch.transfer);
-      sites_[fetch.source].storage().release(dataset);
-    }
+  for (auto& [dataset, fetch] : toward) {
+    if (fetch.transfer != net::kNoTransfer) cut_wire(dataset, fetch);
     if (fetch.retry_event != sim::kNoEvent) (void)engine_.cancel(fetch.retry_event);
   }
   toward.clear();
 
   // Fetches *from* the dead site fail over immediately: some other live
   // holder takes over, or the fetch parks until one resurfaces. The
-  // release below still lands on intact storage — the crash wipe runs
-  // after this teardown.
+  // release still lands on intact storage — the crash wipe runs after
+  // this teardown.
   for (data::SiteIndex dest = 0; dest < pending_fetches_.size(); ++dest) {
-    if (dest == s) continue;
     auto& pending = pending_fetches_[dest];
-    keys.clear();
-    for (const auto& [dataset, fetch] : pending) {
-      if (fetch.source == s) keys.push_back(dataset);
-    }
-    std::sort(keys.begin(), keys.end());
-    for (data::DatasetId dataset : keys) {
-      PendingFetch& fetch = pending.at(dataset);
-      CHICSIM_ASSERT(fetch.transfer != net::kNoTransfer);
-      transfers_.abort(fetch.transfer);
-      sites_[s].storage().release(dataset);
-      fetch.transfer = net::kNoTransfer;
-      fetch.source = data::kNoSite;
+    for (auto it = pending.begin(); it != pending.end();) {
+      const data::DatasetId dataset = it->first;
+      PendingFetch& fetch = it->second;
+      ++it;  // the retry may complete the fetch and erase its entry
+      if (fetch.source != s) continue;
+      cut_wire(dataset, fetch);
       retry_fetch(dest, dataset);
     }
   }
 }
 
 data::SiteIndex FetchPlanner::choose_source(data::DatasetId dataset, data::SiteIndex dest) {
+  // Serve only from live holders that really have the file. A catalogued
+  // copy that physically vanished (silent corruption) is a lie: it leaves
+  // the catalog first, so nobody trips over it again. Dead holders stay
+  // catalogued — pinned masters survive the crash and serve again after
+  // recovery. The removal is stable, so in a fault-free run `live` is the
+  // full holder list in catalog order and selection below draws and ties
+  // exactly as it always has.
+  replication_.invalidate_lies(dataset);
   const auto& holders = replicas_.locations(dataset);
   CHICSIM_ASSERT_MSG(!holders.empty(), "fetch of a dataset with no replicas");
-
-  // Serve only from live holders that really have the file. A catalogued
-  // copy that physically vanished (silent corruption) is a lie: reconcile
-  // it out so nobody trips over it again. Dead holders stay catalogued —
-  // pinned masters survive the crash and serve again after recovery. In a
-  // fault-free run `live` is always the full holder list in catalog
-  // order, so selection below draws and ties exactly as it always has.
   std::vector<data::SiteIndex> live;
-  std::vector<data::SiteIndex> lies;
   live.reserve(holders.size());
   for (data::SiteIndex h : holders) {
-    if (!sites_[h].storage().contains(dataset)) {
-      lies.push_back(h);
-      continue;
-    }
-    if (!sites_[h].alive()) continue;
-    live.push_back(h);
-  }
-  for (data::SiteIndex h : lies) {
-    bool removed = replicas_.remove(dataset, h);
-    CHICSIM_ASSERT(removed);
-    events_.emit(GridEvent{GridEventType::CatalogInvalidated, 0.0, site::kNoJob, dataset,
-                           h, data::kNoSite, catalog_.size_mb(dataset)});
+    if (sites_[h].alive()) live.push_back(h);
   }
   if (live.empty()) return data::kNoSite;
 
@@ -303,26 +255,25 @@ data::SiteIndex FetchPlanner::choose_source(data::DatasetId dataset, data::SiteI
   throw util::SimError("unknown replica selection policy");
 }
 
-void FetchPlanner::on_fetch_complete(data::SiteIndex dest, data::DatasetId dataset) {
+void FetchPlanner::complete(data::SiteIndex dest, data::DatasetId dataset) {
+  CHICSIM_ASSERT_MSG(jobs_ != nullptr, "fetch planner not wired");
   auto& pending = pending_fetches_[dest];
   auto it = pending.find(dataset);
   CHICSIM_ASSERT_MSG(it != pending.end(), "fetch completion without pending record");
   PendingFetch fetch = std::move(it->second);
   pending.erase(it);
 
-  sites_[fetch.source].storage().release(dataset);
+  // A fetch whose data a push landed while it backed off has no source.
+  const bool wired = fetch.source != data::kNoSite;
+  if (wired) sites_[fetch.source].storage().release(dataset);
   events_.emit(GridEvent{GridEventType::FetchCompleted, 0.0,
                          fetch.waiters.empty() ? site::kNoJob : fetch.waiters.front(),
-                         dataset, fetch.source, dest, catalog_.size_mb(dataset)});
-  (void)replication_.store_replica(dest, dataset);
-  land_waiters(dest, dataset, fetch.waiters);
-}
+                         dataset, wired ? fetch.source : dest, dest,
+                         catalog_.size_mb(dataset)});
+  (void)replication_.store_replica(dest, dataset);  // LRU touch when a push landed it
 
-void FetchPlanner::land_waiters(data::SiteIndex dest, data::DatasetId dataset,
-                                const std::vector<site::JobId>& waiters) {
-  CHICSIM_ASSERT_MSG(jobs_ != nullptr, "fetch planner not wired");
   site::Site& site = sites_[dest];
-  for (site::JobId waiter : waiters) {
+  for (site::JobId waiter : fetch.waiters) {
     site::Job& job = jobs_->job_mut(waiter);
     CHICSIM_ASSERT(job.inputs_pending > 0);
     site.storage().acquire(dataset);

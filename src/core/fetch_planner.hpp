@@ -12,12 +12,13 @@
 // transfer-recovery layer: a failed or aborted fetch is retried with
 // exponential backoff, failing over to the next-best live replica source;
 // the coalesced waiters ride along untouched. Source selection never
-// serves from a dead site and eagerly reconciles replica-catalog entries
-// that turn out to be lies (silent catalog corruption).
+// serves from a dead site and first has the ReplicationDriver drop
+// catalog entries that turn out to be lies (silent catalog corruption).
+// Each pending fetch has one attempt path and one completion path.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "core/config.hpp"
@@ -40,7 +41,7 @@ class FetchPlanner final {
   /// References are non-owning and must outlive the planner.
   FetchPlanner(const SimulationConfig& config, sim::Engine& engine,
                std::vector<site::Site>& sites, const data::DatasetCatalog& catalog,
-               data::ReplicaCatalog& replicas, const net::Routing& routing,
+               const data::ReplicaCatalog& replicas, const net::Routing& routing,
                net::TransferManager& transfers, ReplicationDriver& replication,
                EventBus& events);
 
@@ -56,10 +57,10 @@ class FetchPlanner final {
   /// Source-replica selection for a fetch toward `dest` (replica_selection
   /// policy; never returns dest). Selection reads the *ground-truth*
   /// replica catalog — the fetch machinery executes against reality even
-  /// when policies observe a stale snapshot. Dead holders are skipped and
-  /// catalogued-but-vanished copies are reconciled out of the catalog on
-  /// discovery; returns kNoSite when no live, truthful holder exists right
-  /// now (the caller parks the fetch and retries with backoff).
+  /// when policies observe a stale snapshot. Catalogued-but-vanished
+  /// copies are invalidated first, then dead holders are skipped; returns
+  /// kNoSite when no live, truthful holder exists right now (the caller
+  /// parks the fetch and retries with backoff).
   [[nodiscard]] data::SiteIndex choose_source(data::DatasetId dataset,
                                               data::SiteIndex dest);
 
@@ -72,7 +73,8 @@ class FetchPlanner final {
   /// Site-crash teardown. Fetches *toward* the dead site are dropped with
   /// their waiters (the JobLifecycle resubmits those jobs); fetches *from*
   /// it immediately fail over to another live source, or back off when
-  /// none exists. Must run while the dead site's storage is still intact
+  /// none exists, in (dest, dataset) order — the order of the pending
+  /// tables. Must run while the dead site's storage is still intact
   /// (source pins are released against it) and before the JobLifecycle
   /// resets the stranded jobs.
   void on_site_crashed(data::SiteIndex s);
@@ -92,36 +94,38 @@ class FetchPlanner final {
     sim::EventId retry_event = sim::kNoEvent;
   };
 
-  /// Pin `source`'s copy and put the transfer on the wire (arming the
-  /// stochastic failure draw when fault_transfer_fail_prob > 0).
-  void begin_transfer(data::SiteIndex dest, data::DatasetId dataset, PendingFetch& fetch,
-                      data::SiteIndex source);
+  /// Put the fetch on the wire from `source` (pin its copy, arm the
+  /// stochastic failure draw when fault_transfer_fail_prob > 0), or back
+  /// off when `source` is kNoSite. The first request, every retry and
+  /// crash failover come through here.
+  void attempt(data::SiteIndex dest, data::DatasetId dataset, PendingFetch& fetch,
+               data::SiteIndex source);
   /// Draw this transfer's fate from the dedicated "transfer_faults"
   /// substream; on failure, schedule the mid-flight fault event.
   void arm_transfer_fault(data::SiteIndex dest, data::DatasetId dataset,
                           net::TransferId transfer, util::Megabytes size_mb);
   void on_transfer_fault(data::SiteIndex dest, data::DatasetId dataset,
                          net::TransferId transfer);
-  /// Abort the active transfer, release the source pin, move the fetch
-  /// into its backoff state and schedule the next attempt.
-  void fail_active_transfer(data::SiteIndex dest, data::DatasetId dataset,
-                            PendingFetch& fetch);
+  /// Abort the fetch's transfer and release its source pin (against intact
+  /// storage: a referenced entry cannot have been evicted, and crash
+  /// teardown runs before the wipe); the fetch is left without a source.
+  void cut_wire(data::DatasetId dataset, PendingFetch& fetch);
   /// Count the attempt and schedule retry_fetch after the capped
   /// exponential backoff; throws SimError past fetch_max_retries.
   void schedule_retry(data::SiteIndex dest, data::DatasetId dataset, PendingFetch& fetch);
   /// One retry round: complete locally if the data landed meanwhile,
-  /// otherwise re-select a source (failover) or back off again.
+  /// otherwise re-select a source (failover) and attempt again.
   void retry_fetch(data::SiteIndex dest, data::DatasetId dataset);
-  void on_fetch_complete(data::SiteIndex dest, data::DatasetId dataset);
-  /// Deliver an arrived dataset to every waiter and wake the site's LS.
-  void land_waiters(data::SiteIndex dest, data::DatasetId dataset,
-                    const std::vector<site::JobId>& waiters);
+  /// The data is at `dest`: close the fetch (releasing its source pin when
+  /// it came over the wire), land the copy, deliver it to every waiter and
+  /// wake the site's LS.
+  void complete(data::SiteIndex dest, data::DatasetId dataset);
 
   const SimulationConfig& config_;
   sim::Engine& engine_;
   std::vector<site::Site>& sites_;
   const data::DatasetCatalog& catalog_;
-  data::ReplicaCatalog& replicas_;
+  const data::ReplicaCatalog& replicas_;
   const net::Routing& routing_;
   net::TransferManager& transfers_;
   ReplicationDriver& replication_;
@@ -131,9 +135,9 @@ class FetchPlanner final {
   util::Rng rng_fetch_;
   util::Rng rng_faults_;  ///< per-transfer failure draws; untouched otherwise
 
-  /// Per destination site: datasets currently being fetched there.
-  // detlint: order-insensitive: keyed lookups only; crash teardown snapshots the keys and sorts them before acting
-  std::vector<std::unordered_map<data::DatasetId, PendingFetch>> pending_fetches_;
+  /// Per destination site: datasets currently being fetched there, in
+  /// dataset order (the crash teardown order).
+  std::vector<std::map<data::DatasetId, PendingFetch>> pending_fetches_;
 };
 
 }  // namespace chicsim::core

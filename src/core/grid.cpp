@@ -169,7 +169,7 @@ void Grid::finish_run() {
   // Scrub replica-catalog lies the run never tripped over (silent
   // corruption stream) before anything audits or reports the catalog; its
   // CatalogInvalidated events reach the fold before finalize().
-  injector_->reconcile_catalog();
+  replication_->reconcile_catalog();
   metrics_ = collector_.finalize(makespan, sites_, *transfers_);
   metrics_.events_executed = engine_.events_executed();
   metrics_.event_pushes = engine_.queue().total_pushes();

@@ -132,18 +132,43 @@ data::SiteIndex ReplicationDriver::top_requester(data::SiteIndex self,
 data::StorageManager::AddOutcome ReplicationDriver::store_replica(data::SiteIndex s,
                                                                   data::DatasetId dataset) {
   auto outcome = sites_[s].storage().add_replica(dataset, catalog_.size_mb(dataset));
-  for (data::DatasetId evicted : outcome.evicted) {
-    bool removed = replicas_.remove(evicted, s);
-    CHICSIM_ASSERT_MSG(removed, "evicted a replica the catalog did not know");
-    events_.emit(GridEvent{GridEventType::ReplicaEvicted, 0.0, site::kNoJob, evicted, s,
-                           data::kNoSite, catalog_.size_mb(evicted)});
-  }
+  drop_replicas(s, outcome.evicted);
   if (outcome.newly_added && !outcome.transient) {
     replicas_.add(dataset, s);
     events_.emit(GridEvent{GridEventType::ReplicaStored, 0.0, site::kNoJob, dataset, s,
                            data::kNoSite, catalog_.size_mb(dataset)});
   }
   return outcome;
+}
+
+void ReplicationDriver::drop_replicas(data::SiteIndex s,
+                                      const std::vector<data::DatasetId>& gone) {
+  for (data::DatasetId d : gone) {
+    bool removed = replicas_.remove(d, s);
+    CHICSIM_ASSERT_MSG(removed, "dropped a replica the catalog did not know");
+    events_.emit(GridEvent{GridEventType::ReplicaEvicted, 0.0, site::kNoJob, d, s,
+                           data::kNoSite, catalog_.size_mb(d)});
+  }
+}
+
+void ReplicationDriver::invalidate_lies(data::DatasetId dataset) {
+  const auto& holders = replicas_.locations(dataset);
+  auto is_lie = [&](data::SiteIndex h) { return !sites_[h].storage().contains(dataset); };
+  auto first_lie = std::find_if(holders.begin(), holders.end(), is_lie);
+  if (first_lie == holders.end()) return;
+  // Copy from the first lie on: remove() erases from `holders`.
+  const std::vector<data::SiteIndex> suspects(first_lie, holders.end());
+  for (data::SiteIndex h : suspects) {
+    if (!is_lie(h)) continue;
+    bool removed = replicas_.remove(dataset, h);
+    CHICSIM_ASSERT(removed);
+    events_.emit(GridEvent{GridEventType::CatalogInvalidated, 0.0, site::kNoJob, dataset, h,
+                           data::kNoSite, catalog_.size_mb(dataset)});
+  }
+}
+
+void ReplicationDriver::reconcile_catalog() {
+  for (data::DatasetId d = 0; d < catalog_.size(); ++d) invalidate_lies(d);
 }
 
 void ReplicationDriver::start_replication(data::SiteIndex from, data::DatasetId dataset,
@@ -154,8 +179,9 @@ void ReplicationDriver::start_replication(data::SiteIndex from, data::DatasetId 
   if (replicas_.has(dataset, dest)) return;
   if (!sites_[from].storage().contains(dataset)) return;
   std::uint64_t key = push_key(dataset, dest);
-  if (pending_pushes_.count(key) > 0) return;
-  pending_pushes_.emplace(key, PushRecord{from, dataset, dest, net::kNoTransfer});
+  auto [it, inserted] =
+      pending_pushes_.try_emplace(key, PushRecord{from, dataset, dest, net::kNoTransfer});
+  if (!inserted) return;
   ++inbound_pushes_[dest];
   events_.emit(GridEvent{GridEventType::ReplicationStarted, 0.0, site::kNoJob, dataset,
                          from, dest, catalog_.size_mb(dataset)});
@@ -176,31 +202,27 @@ void ReplicationDriver::start_replication(data::SiteIndex from, data::DatasetId 
         // above the storage budget.
         if (outcome.transient) (void)sites_[dest].storage().evict(dataset);
       });
-  // Completion runs through the calendar, never synchronously, so the
-  // record is still there to take the wire handle.
-  auto it = pending_pushes_.find(key);
-  CHICSIM_ASSERT(it != pending_pushes_.end());
+  // Completion runs through the calendar, never synchronously, so `it`
+  // still points at the record to take the wire handle.
   it->second.transfer = transfer;
 }
 
 void ReplicationDriver::on_site_crashed(data::SiteIndex s) {
-  // Collect the doomed pushes first (sorted: map order is not
-  // deterministic), then tear each down. Source pins release against
-  // storage that is still intact — the crash wipe runs after this.
-  std::vector<PushRecord> doomed;
-  for (const auto& [key, record] : pending_pushes_) {
-    if (record.from == s || record.dest == s) doomed.push_back(record);
-  }
-  std::sort(doomed.begin(), doomed.end(), [](const PushRecord& a, const PushRecord& b) {
-    return a.dataset != b.dataset ? a.dataset < b.dataset : a.dest < b.dest;
-  });
-  for (const PushRecord& record : doomed) {
+  // Walk in key = (dataset, dest) order and tear down in place. Source
+  // pins release against storage that is still intact — the crash wipe
+  // runs after this.
+  for (auto it = pending_pushes_.begin(); it != pending_pushes_.end();) {
+    const PushRecord& record = it->second;
+    if (record.from != s && record.dest != s) {
+      ++it;
+      continue;
+    }
     CHICSIM_ASSERT(record.transfer != net::kNoTransfer);
     transfers_.abort(record.transfer);
     CHICSIM_ASSERT(inbound_pushes_[record.dest] > 0);
     --inbound_pushes_[record.dest];
     sites_[record.from].storage().release(record.dataset);
-    pending_pushes_.erase(push_key(record.dataset, record.dest));
+    it = pending_pushes_.erase(it);
   }
 }
 

@@ -3,6 +3,10 @@
 // the sites; requester counts live here), the replication pushes it starts,
 // and the landing of arrived copies into storage + replica catalog.
 //
+// It is the replica catalog's one writer after master placement: a durable
+// copy that left storage leaves the catalog (ReplicaEvicted), and a
+// catalogued copy that storage lacks is a lie (CatalogInvalidated).
+//
 // The DS observes the world only through the information service (its
 // ReplicationContext::view()), but *acts* on ground truth: a push toward a
 // site that already holds the dataset, or of a dataset this site no longer
@@ -15,9 +19,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/config.hpp"
@@ -69,9 +73,10 @@ class ReplicationDriver final {
   void start_replication(data::SiteIndex from, data::DatasetId dataset,
                          data::SiteIndex dest);
 
-  /// Site-crash teardown: abort every in-flight push from or toward `s`
-  /// (source pins are released against still-intact storage, so this must
-  /// run before the crash wipes `s`'s cache).
+  /// Site-crash teardown: abort every in-flight push from or toward `s`,
+  /// in (dataset, dest) order (source pins are released against
+  /// still-intact storage, so this must run before the crash wipes `s`'s
+  /// cache).
   void on_site_crashed(data::SiteIndex s);
 
   /// Register an arrived copy at `s`: storage add (with LRU eviction),
@@ -80,6 +85,19 @@ class ReplicationDriver final {
   /// every copy lands through here, however it travelled.
   data::StorageManager::AddOutcome store_replica(data::SiteIndex s,
                                                  data::DatasetId dataset);
+
+  /// Durable copies that left `s`'s storage (`gone`, as storage reports
+  /// them) leave the catalog, each with ReplicaEvicted.
+  void drop_replicas(data::SiteIndex s, const std::vector<data::DatasetId>& gone);
+
+  /// Remove every catalogued holder of `dataset` whose storage lacks it (a
+  /// lie left by silent loss), each with CatalogInvalidated, keeping the
+  /// rest in catalog order. Allocates nothing when there is no lie.
+  void invalidate_lies(data::DatasetId dataset);
+
+  /// End-of-run sweep: invalidate_lies for every dataset, so whatever no
+  /// fetch looked at is scrubbed before the catalog is audited or reported.
+  void reconcile_catalog();
 
   /// Replication pushes currently in flight toward `site` (from anywhere).
   [[nodiscard]] std::size_t inbound_replications(data::SiteIndex site) const;
@@ -113,9 +131,9 @@ class ReplicationDriver final {
     net::TransferId transfer = net::kNoTransfer;
   };
 
-  /// Replication pushes in flight, keyed (dataset, dest) to avoid duplicates.
-  // detlint: order-insensitive: keyed lookups only; on_site_crashed collects the doomed records and sorts by (dataset, dest)
-  std::unordered_map<std::uint64_t, PushRecord> pending_pushes_;
+  /// Replication pushes in flight, keyed (dataset, dest) to avoid
+  /// duplicates; the key's numeric order is the crash teardown order.
+  std::map<std::uint64_t, PushRecord> pending_pushes_;
   /// In-flight replication pushes per destination site.
   std::vector<std::size_t> inbound_pushes_;
   /// Per site: how often each remote site's community fetched each local dataset.

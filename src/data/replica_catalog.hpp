@@ -6,7 +6,9 @@
 // information like whether the data already exists at a site"); the data
 // mover uses it to choose a source for each fetch. In this reproduction it
 // is exact and instantaneously consistent, matching the paper's implicit
-// assumption; the Grid keeps it in sync with every storage add/evict.
+// assumption; the ReplicationDriver, its one writer after master placement,
+// keeps it in sync with every storage add and eviction, and removes a
+// silently lost copy when a fetch or the end-of-run sweep finds it.
 #pragma once
 
 #include <cstdint>

@@ -13,11 +13,8 @@ StorageManager::StorageManager(util::Megabytes capacity_mb) : capacity_mb_(capac
 void StorageManager::add_master(DatasetId id, util::Megabytes size_mb) {
   CHICSIM_ASSERT_MSG(size_mb > 0.0, "master copy with non-positive size");
   CHICSIM_ASSERT_MSG(entries_.find(id) == entries_.end(), "master copy added twice");
-  std::vector<DatasetId> evicted;
-  if (used_mb_ + size_mb > capacity_mb_) make_room(size_mb, evicted);
   CHICSIM_ASSERT_MSG(used_mb_ + size_mb <= capacity_mb_ + util::kEpsilon,
                      "pinned master copies exceed storage capacity");
-  CHICSIM_ASSERT_MSG(evicted.empty(), "master placement must precede caching");
   Entry e;
   e.size_mb = size_mb;
   e.pinned = true;

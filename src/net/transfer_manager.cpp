@@ -59,6 +59,7 @@ double TransferManager::bandwidth_scale(LinkId link) const {
 TransferId TransferManager::start(NodeId src, NodeId dst, util::Megabytes size_mb,
                                   TransferPurpose purpose, CompletionFn on_complete) {
   CHICSIM_ASSERT_MSG(size_mb >= 0.0, "negative transfer size");
+  CHICSIM_ASSERT_MSG(src != dst, "transfer endpoints must differ");
   CHICSIM_ASSERT_MSG(static_cast<bool>(on_complete), "transfer needs a completion callback");
   TransferId id = next_id_++;
   ++stats_.transfers_started;
@@ -68,24 +69,10 @@ TransferId TransferManager::start(NodeId src, NodeId dst, util::Megabytes size_m
   flow.size_mb = size_mb;
   flow.purpose = purpose;
   flow.on_complete = std::move(on_complete);
-
-  if (src == dst) {
-    // Local access: all processors at a site reach all storage at that site
-    // (§3), so no network time elapses — but completion still goes through
-    // the calendar to keep callback ordering uniform.
-    ++stats_.local_transfers;
-    flow.eta_seq = next_eta_seq_++;
-    flows_.emplace_back(id, std::move(flow));
-    etas_.push_back(engine_.now());
-    slot_state_.push_back(kLive);
-    arm();
-    return id;
-  }
-
-  settle();
   flow.remaining_mb = size_mb;
+  settle();  // before the new flow's links count as busy
   flow.path = &routing_.path(src, dst);
-  CHICSIM_ASSERT_MSG(!flow.path->empty(), "remote transfer with empty path");
+  CHICSIM_ASSERT_MSG(!flow.path->empty(), "transfer with empty path");
   flow.hops = static_cast<double>(flow.path->size());
   for (LinkId l : *flow.path) {
     ++link_flow_count_[l];
@@ -149,7 +136,7 @@ void TransferManager::settle() {
   CHICSIM_ASSERT_MSG(dt >= 0.0, "settle backwards in time");
   if (dt > 0.0) {
     for (auto& [id, f] : flows_) {
-      if (f.path == nullptr) continue;  // local (already complete) or dead
+      if (f.path == nullptr) continue;  // dead
       double delta = std::min(f.remaining_mb, f.rate * dt);
       f.remaining_mb -= delta;
       stats_.delivered_mb_hops += delta * f.hops;
@@ -314,19 +301,17 @@ void TransferManager::complete_next() {
   CHICSIM_ASSERT_MSG(next != kNoSlot && armed_at_ == engine_.now(),
                      "completion event fired away from the earliest ETA");
   Flow& f = flows_[next].second;
-  if (f.path != nullptr) {
-    settle();
-    CHICSIM_ASSERT_MSG(f.remaining_mb <= kResidualTolMb,
-                       "completion event fired before delivery finished");
-    f.remaining_mb = 0.0;
-  }
+  settle();
+  CHICSIM_ASSERT_MSG(f.remaining_mb <= kResidualTolMb,
+                     "completion event fired before delivery finished");
+  f.remaining_mb = 0.0;
   finish(next);
 }
 
 void TransferManager::finish(std::size_t pos) {
   const TransferId id = flows_[pos].first;
   const Flow& f = flows_[pos].second;
-  if (f.path != nullptr) stats_.delivered_mb[static_cast<std::size_t>(f.purpose)] += f.size_mb;
+  stats_.delivered_mb[static_cast<std::size_t>(f.purpose)] += f.size_mb;
   ++stats_.transfers_completed;
   CompletionFn on_complete = retire(pos);
   // Invoke last: the callback may start new transfers or run schedulers.
@@ -337,13 +322,10 @@ TransferManager::CompletionFn TransferManager::retire(std::size_t pos) {
   Flow& f = flows_[pos].second;
   CompletionFn on_complete = std::move(f.on_complete);
   f.on_complete = nullptr;
-  const bool remote = f.path != nullptr;
-  if (remote) {
-    for (LinkId l : *f.path) {
-      CHICSIM_ASSERT(link_flow_count_[l] > 0);
-      --link_flow_count_[l];
-      mark_link_dirty(l);
-    }
+  for (LinkId l : *f.path) {
+    CHICSIM_ASSERT(link_flow_count_[l] > 0);
+    --link_flow_count_[l];
+    mark_link_dirty(l);
   }
   f.path = nullptr;
   f.rate = 0.0;
@@ -351,11 +333,7 @@ TransferManager::CompletionFn TransferManager::retire(std::size_t pos) {
   slot_state_[pos] = kDead;
   ++dead_;
   if (dead_ > active_count() && flows_.size() >= kCompactMinSlots) compact();
-  if (remote) {
-    reallocate();
-  } else {
-    arm();
-  }
+  reallocate();
   return on_complete;
 }
 
@@ -375,9 +353,9 @@ void TransferManager::compact() {
   dead_ = 0;
   for (auto& positions : link_flows_) positions.clear();
   for (std::size_t pos = 0; pos < out; ++pos) {
-    const Flow& f = flows_[pos].second;
-    if (f.path == nullptr) continue;
-    for (LinkId l : *f.path) link_flows_[l].push_back(static_cast<std::uint32_t>(pos));
+    for (LinkId l : *flows_[pos].second.path) {
+      link_flows_[l].push_back(static_cast<std::uint32_t>(pos));
+    }
   }
 }
 

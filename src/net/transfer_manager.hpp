@@ -21,10 +21,10 @@
 //  * MaxMin: progressive filling to the max-min fair allocation — an
 //    ablation showing the results are insensitive to the sharing model.
 //
-// Transfers between co-located endpoints (src == dst) complete after zero
-// virtual time (all processors at a site access all storage at that site,
-// §3), but still go through the event calendar so completion callbacks are
-// never re-entrant.
+// Every transfer is remote: all processors at a site access all storage at
+// that site (§3), so co-located data never needs a transfer, and start()
+// rejects src == dst. Completions always go through the event calendar,
+// so completion callbacks are never re-entrant.
 #pragma once
 
 #include <cstdint>
@@ -69,7 +69,6 @@ struct TransferStats {
   std::uint64_t transfers_started = 0;
   std::uint64_t transfers_completed = 0;
   std::uint64_t transfers_aborted = 0;
-  std::uint64_t local_transfers = 0;
 
   // Reallocation hot-path counters.
   std::uint64_t reallocations = 0;      ///< reallocate() invocations
@@ -92,8 +91,9 @@ class TransferManager {
   TransferManager(const TransferManager&) = delete;
   TransferManager& operator=(const TransferManager&) = delete;
 
-  /// Begin moving `size_mb` megabytes from `src` to `dst`. `on_complete`
-  /// fires through the event calendar when the last byte arrives.
+  /// Begin moving `size_mb` megabytes from `src` to a different node
+  /// `dst`. `on_complete` fires through the event calendar when the last
+  /// byte arrives.
   TransferId start(NodeId src, NodeId dst, util::Megabytes size_mb, TransferPurpose purpose,
                    CompletionFn on_complete);
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <vector>
 
@@ -166,6 +167,67 @@ TEST(Faults, CrashDuringTransferFailsOverOrParksWaiters) {
   // Coalesced waiters ride the failover: joins happened and every job
   // still completed, so no waiter was dropped by the source switch.
   EXPECT_FALSE(recorder.of_type(GridEventType::FetchJoined).empty());
+  audit_grid(grid);
+}
+
+TEST(Faults, CrashFailoverRetriesInDestThenDatasetOrder) {
+  // Site 3 dies at t=2000 while serving four in-flight fetches to three
+  // destinations (two of them toward site 1). Its teardown fails each one
+  // over to a live holder or parks it, in (dest, dataset) order, and every
+  // fetch stays pending at its destination: failover moves the wire, never
+  // the bookkeeping.
+  SimulationConfig cfg = small_config();
+  const data::SiteIndex victim = 3;
+  const util::SimTime crash_at = 2000.0;
+
+  class CrashWatch final : public GridObserver {
+   public:
+    CrashWatch(const Grid& grid, util::SimTime at) : grid_(grid), at_(at) {}
+    void on_event(const GridEvent& e) override {
+      if (e.type == GridEventType::SiteFailed && e.time == at_) {
+        for (data::SiteIndex d = 0; d < grid_.site_count(); ++d) {
+          before.push_back(grid_.fetch_planner().pending_fetches(d));
+        }
+      }
+      if (e.type == GridEventType::TransferRetried && e.time == at_) retries.push_back(e);
+    }
+    std::vector<std::size_t> before;
+    std::vector<GridEvent> retries;
+
+   private:
+    const Grid& grid_;
+    util::SimTime at_;
+  };
+
+  Grid grid(cfg);
+  CrashWatch watch(grid, crash_at);
+  grid.add_observer(&watch);
+  grid.add_fault_plan(FaultPlan{}.crash_site(crash_at, victim).recover_site(3000.0, victim));
+  // Runs after everything at the crash instant, the teardown included.
+  std::vector<std::size_t> after;
+  grid.engine().schedule_at(std::nextafter(crash_at, 2.0 * crash_at), [&] {
+    for (data::SiteIndex d = 0; d < grid.site_count(); ++d) {
+      after.push_back(grid.fetch_planner().pending_fetches(d));
+    }
+  });
+  grid.run();
+  EXPECT_EQ(grid.metrics().jobs_completed, cfg.total_jobs);
+
+  std::vector<std::pair<data::SiteIndex, data::DatasetId>> order;
+  for (const GridEvent& e : watch.retries) order.emplace_back(e.site_b, e.dataset);
+  std::vector<data::SiteIndex> dests;
+  for (const auto& [dest, dataset] : order) dests.push_back(dest);
+  dests.erase(std::unique(dests.begin(), dests.end()), dests.end());
+  ASSERT_GE(order.size(), 3u);
+  ASSERT_GE(dests.size(), 2u);
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  EXPECT_EQ(std::adjacent_find(order.begin(), order.end()), order.end());
+
+  ASSERT_EQ(watch.before.size(), cfg.num_sites);
+  ASSERT_EQ(after.size(), cfg.num_sites);
+  for (data::SiteIndex d = 0; d < cfg.num_sites; ++d) {
+    EXPECT_EQ(after[d], d == victim ? 0u : watch.before[d]) << "site " << d;
+  }
   audit_grid(grid);
 }
 
