@@ -7,7 +7,7 @@ Each tree is a checkout with a configured and built CMake tree in
 `TREE/BUILD_DIR` (an absolute --build-dir is used as is on both sides). The
 script runs each side's `examples/simulate --sites` on every
 `examples/scenarios/*.cfg` of CHANGE_TREE and on a fixed set of fault-heavy
-`--set` runs, with every export switched on (metrics CSV, timeline CSV,
+and network `--set` runs, with every export switched on (metrics CSV, timeline CSV,
 Chrome trace, site metrics, spans CSV), plus `examples/postmortem` with its
 event-trace CSV. Both sides read the same scenario files and write into
 their own scratch directory under the same file names, so stdout and every
@@ -43,6 +43,19 @@ FAULT_RUNS = {
                                  "fault_catalog_loss_rate_per_hour=60;seed=11",
 }
 
+# Network runs: MaxMin sharing under transfer failures and crashes, the
+# NoContention ablation on a star, and a 240-site grid whose flow table spans
+# many 64-slot words and compacts.
+NETWORK_RUNS = {
+    "maxmin_faults": "share_policy=MaxMin;es=JobLeastLoaded;ds=DataLeastLoaded;"
+                     "fault_transfer_fail_prob=0.1;fault_site_crash_rate_per_hour=0.3;seed=17",
+    "nocontention_star": "share_policy=NoContention;topology=Star;es=JobDataPresent;"
+                         "ds=DataBestClient;seed=19",
+    "grid_240_sites": "num_sites=240;num_regions=48;num_users=960;num_datasets=1600;"
+                      "total_jobs=1920;es=JobLocal;ds=DataDoNothing;"
+                      "fault_transfer_fail_prob=0.1;seed=13",
+}
+
 SIMULATE_EXPORTS = [
     ("--metrics-csv", "metrics.csv"),
     ("--timeline-csv", "timeline.csv"),
@@ -61,7 +74,7 @@ def runs(change_tree):
         name = os.path.splitext(os.path.basename(cfg))[0]
         out.append((name, "simulate", [f"--config={os.path.abspath(cfg)}", "--sites"] + exports,
                     files))
-    for name, overrides in FAULT_RUNS.items():
+    for name, overrides in {**FAULT_RUNS, **NETWORK_RUNS}.items():
         out.append((name, "simulate", [f"--set={overrides}", "--sites"] + exports, files))
     out.append(("postmortem", "postmortem", ["--trace-csv=events.csv"], ["events.csv"]))
     return out

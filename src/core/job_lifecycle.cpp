@@ -1,6 +1,7 @@
 #include "core/job_lifecycle.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/factory.hpp"
 #include "core/fetch_planner.hpp"
@@ -52,6 +53,7 @@ void JobLifecycle::instantiate_jobs() {
   for (site::UserId u = 0; u < users_.size(); ++u) users_[u] = User{u, 0};
   compute_events_.assign(jobs_.size(), sim::kNoEvent);
   output_transfers_.assign(jobs_.size(), net::kNoTransfer);
+  site_jobs_.resize(sites_.size());
 }
 
 const site::Job& JobLifecycle::job(site::JobId id) const {
@@ -172,6 +174,7 @@ void JobLifecycle::dispatch(site::Job& job, data::SiteIndex dest) {
   site::Site& site = sites_[dest];
   site.enqueue(job.id);
   site.note_job_dispatched();
+  site_jobs_[dest].push_back(job.id);
   events_.emit(GridEvent{GridEventType::JobDispatched, 0.0, job.id, data::kNoDataset,
                          job.origin_site, dest, 0.0});
 
@@ -275,11 +278,13 @@ void JobLifecycle::start_output_return(site::JobId id, util::Megabytes output_mb
 }
 
 void JobLifecycle::on_site_crashed(data::SiteIndex s) {
-  // Walk the job table in id order (deterministic, independent of queue or
-  // map iteration order) and strand-handle everything executing at s.
-  for (site::JobId id = 1; id <= jobs_.size(); ++id) {
+  // Strand-handle everything executing at s in id order (deterministic,
+  // independent of dispatch, queue or map order).
+  std::vector<site::JobId> stranded = std::exchange(site_jobs_[s], {});
+  std::sort(stranded.begin(), stranded.end());
+  for (site::JobId id : stranded) {
     site::Job& job = jobs_[id - 1];
-    if (job.exec_site != s) continue;
+    CHICSIM_ASSERT(job.exec_site == s);
     switch (job.state) {
       case site::JobState::Queued:
         break;  // the site queue itself is drained below
@@ -300,7 +305,7 @@ void JobLifecycle::on_site_crashed(data::SiteIndex s) {
         break;
       }
       default:
-        continue;  // Created/Submitted/Completed are not stranded at s
+        CHICSIM_ASSERT_MSG(false, "a site's job list holds a job that is not at the site");
     }
     // Back to freshly-submitted. Input pins died with the storage wipe
     // (which ran before this call), so nothing is released here; every
@@ -324,6 +329,11 @@ void JobLifecycle::finalize_job(site::JobId id) {
                  job.state == site::JobState::ReturningOutput);
   job.state = site::JobState::Completed;
   job.finish_time = engine_.now();
+  std::vector<site::JobId>& at_site = site_jobs_[job.exec_site];
+  auto it = std::find(at_site.begin(), at_site.end(), id);
+  CHICSIM_ASSERT(it != at_site.end());
+  *it = at_site.back();
+  at_site.pop_back();
   events_.emit(GridEvent{GridEventType::JobCompleted, 0.0, id, data::kNoDataset,
                          job.exec_site, job.origin_site, 0.0});
   ++completed_jobs_;

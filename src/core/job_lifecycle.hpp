@@ -126,6 +126,10 @@ class JobLifecycle final {
   /// ReturningOutput — the handles a site crash needs to kill cleanly.
   std::vector<sim::EventId> compute_events_;
   std::vector<net::TransferId> output_transfers_;
+  /// Per site: the jobs dispatched there and not yet completed (queued,
+  /// running or returning output), in no particular order. A crash walks
+  /// only its own site's list instead of the whole job table.
+  std::vector<std::vector<site::JobId>> site_jobs_;
 
   /// Centralized ES mapping: submissions awaiting their scheduling decision.
   std::deque<site::JobId> central_queue_;

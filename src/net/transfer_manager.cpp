@@ -1,6 +1,7 @@
 #include "net/transfer_manager.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -65,23 +66,18 @@ TransferId TransferManager::start(NodeId src, NodeId dst, util::Megabytes size_m
   ++stats_.transfers_started;
   CHICSIM_ASSERT(flows_.empty() || flows_.back().first < id);  // keeps the table sorted
   const std::size_t pos = flows_.size();
-  Flow flow;
-  flow.size_mb = size_mb;
-  flow.purpose = purpose;
-  flow.on_complete = std::move(on_complete);
-  flow.remaining_mb = size_mb;
   settle();  // before the new flow's links count as busy
-  flow.path = &routing_.path(src, dst);
-  CHICSIM_ASSERT_MSG(!flow.path->empty(), "transfer with empty path");
-  flow.hops = static_cast<double>(flow.path->size());
-  for (LinkId l : *flow.path) {
+  const Route route = routing_.path(src, dst);
+  CHICSIM_ASSERT_MSG(!route.empty(), "transfer with empty path");
+  for (LinkId l : route) {
     ++link_flow_count_[l];
     link_flows_[l].push_back(static_cast<std::uint32_t>(pos));
     mark_link_dirty(l);
   }
-  flows_.emplace_back(id, std::move(flow));
+  flows_.emplace_back(id, Flow{0, size_mb, purpose, std::move(on_complete)});
+  motion_.push_back(Motion{size_mb, 0.0, static_cast<double>(route.size())});
+  routes_.push_back(route);
   etas_.push_back(util::kTimeInfinity);  // derived by reallocate(): the rate moves off 0
-  slot_state_.push_back(kLive);
   reallocate();
   return id;
 }
@@ -91,7 +87,7 @@ std::size_t TransferManager::find_flow(TransferId id) const {
                              [](const auto& entry, TransferId key) { return entry.first < key; });
   if (it == flows_.end() || it->first != id) return kNoSlot;
   const auto pos = static_cast<std::size_t>(it - flows_.begin());
-  return slot_state_[pos] == kDead ? kNoSlot : pos;
+  return routes_[pos].empty() ? kNoSlot : pos;
 }
 
 std::size_t TransferManager::live_slot(TransferId id, const char* what) const {
@@ -111,13 +107,13 @@ void TransferManager::abort(TransferId id) {
 }
 
 util::MbPerSec TransferManager::current_rate(TransferId id) const {
-  return flows_[live_slot(id, "current_rate of unknown transfer")].second.rate;
+  return motion_[live_slot(id, "current_rate of unknown transfer")].rate;
 }
 
 util::Megabytes TransferManager::remaining_mb(TransferId id) const {
-  const Flow& f = flows_[live_slot(id, "remaining_mb of unknown transfer")].second;
+  const Motion& m = motion_[live_slot(id, "remaining_mb of unknown transfer")];
   double dt = engine_.now() - last_settle_;
-  return std::max(0.0, f.remaining_mb - f.rate * dt);
+  return std::max(0.0, m.remaining_mb - m.rate * dt);
 }
 
 std::size_t TransferManager::flows_on_link(LinkId link) const {
@@ -135,11 +131,12 @@ void TransferManager::settle() {
   double dt = now - last_settle_;
   CHICSIM_ASSERT_MSG(dt >= 0.0, "settle backwards in time");
   if (dt > 0.0) {
-    for (auto& [id, f] : flows_) {
-      if (f.path == nullptr) continue;  // dead
-      double delta = std::min(f.remaining_mb, f.rate * dt);
-      f.remaining_mb -= delta;
-      stats_.delivered_mb_hops += delta * f.hops;
+    // Dead slots move 0 MB over 0 hops: adding +0 leaves the sum's bits
+    // alone, since it starts at +0 and never goes negative.
+    for (Motion& m : motion_) {
+      double delta = std::min(m.remaining_mb, m.rate * dt);
+      m.remaining_mb -= delta;
+      stats_.delivered_mb_hops += delta * m.hops;
     }
     for (LinkId l = 0; l < link_flow_count_.size(); ++l) {
       if (link_flow_count_[l] > 0) link_busy_time_[l] += dt;
@@ -156,42 +153,39 @@ void TransferManager::reallocate() {
     // Progressive filling is inherently global (freezing one flow shifts
     // slack to every other), so all rates are recomputed; only flows whose
     // rate moved get a new ETA.
-    old_rate_scratch_.resize(flows_.size());
-    for (std::size_t pos = 0; pos < flows_.size(); ++pos) {
-      old_rate_scratch_[pos] = flows_[pos].second.rate;
-    }
+    old_rate_scratch_.clear();
+    for (const Motion& m : motion_) old_rate_scratch_.push_back(m.rate);
     compute_rates_max_min();
-    for (std::size_t pos = 0; pos < flows_.size(); ++pos) {
-      if (flows_[pos].second.path != nullptr) update_eta(pos, old_rate_scratch_[pos], now);
+    for (std::size_t pos = 0; pos < motion_.size(); ++pos) {
+      if (!routes_[pos].empty()) update_eta(pos, old_rate_scratch_[pos], now);
     }
   } else {
     // A rate is the minimum of the per-link shares on the flow's path, and
-    // only dirty links' shares can have moved: refresh those, then gather
-    // the flows crossing them once each from the per-link index (the state
-    // byte dedupes and skips dead slots) ...
+    // only dirty links' shares can have moved: refresh those, then mark the
+    // slots crossing them (once each, whatever their count) ...
+    gather_bits_.resize((routes_.size() + 63) / 64);
     for (LinkId l : dirty_links_) {
       if (link_flow_count_[l] == 0) continue;
       link_share_[l] = policy_ == SharePolicy::NoContention
                            ? capacity(l)
                            : capacity(l) / static_cast<double>(link_flow_count_[l]);
-    }
-    gathered_.clear();
-    for (LinkId l : dirty_links_) {
       for (std::uint32_t pos : link_flows_[l]) {
-        if (slot_state_[pos] != kLive) continue;
-        slot_state_[pos] = kGathered;
-        gathered_.push_back(pos);
+        gather_bits_[pos / 64] |= std::uint64_t{1} << (pos % 64);
       }
     }
-    // ... and recompute them in position (= TransferId) order, the order
-    // in which re-derived ETAs take their eta_seq.
-    std::sort(gathered_.begin(), gathered_.end());
-    for (std::uint32_t pos : gathered_) {
-      slot_state_[pos] = kLive;
-      Flow& f = flows_[pos].second;
-      double old_rate = f.rate;
-      f.rate = path_rate(f);
-      update_eta(pos, old_rate, now);
+    // ... and recompute them in ascending position (= TransferId) order,
+    // the order in which re-derived ETAs take their eta_seq. Dead slots
+    // still listed on a link are skipped by their empty route.
+    for (std::size_t word = 0; word < gather_bits_.size(); ++word) {
+      std::uint64_t bits = gather_bits_[word];
+      gather_bits_[word] = 0;
+      for (; bits != 0; bits &= bits - 1) {
+        const std::size_t pos = word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        if (routes_[pos].empty()) continue;
+        const double old_rate = motion_[pos].rate;
+        motion_[pos].rate = path_rate(routes_[pos]);
+        update_eta(pos, old_rate, now);
+      }
     }
   }
 
@@ -201,12 +195,12 @@ void TransferManager::reallocate() {
 }
 
 void TransferManager::update_eta(std::size_t pos, double old_rate, util::SimTime now) {
-  Flow& f = flows_[pos].second;
-  CHICSIM_ASSERT_MSG(f.rate > 0.0, "active flow allocated zero rate");
+  const Motion& m = motion_[pos];
+  CHICSIM_ASSERT_MSG(m.rate > 0.0, "active flow allocated zero rate");
   // A bit-equal rate leaves the ETA derived from it exact: keep it.
-  if (f.rate == old_rate) return;
-  etas_[pos] = now + (f.remaining_mb <= kResidualTolMb ? 0.0 : f.remaining_mb / f.rate);
-  f.eta_seq = next_eta_seq_++;
+  if (m.rate == old_rate) return;
+  etas_[pos] = now + (m.remaining_mb <= kResidualTolMb ? 0.0 : m.remaining_mb / m.rate);
+  flows_[pos].second.eta_seq = next_eta_seq_++;
   ++stats_.flows_rescheduled;
 }
 
@@ -233,9 +227,9 @@ void TransferManager::arm() {
   armed_ = engine_.schedule_at(next, "transfer_completion", [this] { complete_next(); });
 }
 
-double TransferManager::path_rate(const Flow& f) const {
+double TransferManager::path_rate(Route route) const {
   double rate = util::kTimeInfinity;
-  for (LinkId l : *f.path) {
+  for (LinkId l : route) {
     CHICSIM_ASSERT(link_flow_count_[l] > 0);
     rate = std::min(rate, link_share_[l]);
   }
@@ -245,12 +239,12 @@ double TransferManager::path_rate(const Flow& f) const {
 void TransferManager::compute_rates_max_min() {
   // Progressive filling: raise all unfrozen flow rates uniformly; when a
   // link saturates, freeze the flows crossing it; repeat.
-  std::vector<Flow*> unfrozen;
-  unfrozen.reserve(flows_.size());
-  for (auto& [id, f] : flows_) {
-    if (f.path == nullptr) continue;
-    f.rate = 0.0;
-    unfrozen.push_back(&f);
+  std::vector<std::uint32_t> unfrozen;  // positions
+  unfrozen.reserve(routes_.size());
+  for (std::size_t pos = 0; pos < routes_.size(); ++pos) {
+    if (routes_[pos].empty()) continue;
+    motion_[pos].rate = 0.0;
+    unfrozen.push_back(static_cast<std::uint32_t>(pos));
   }
   std::vector<double> cap_rem(topo_.link_count());
   for (LinkId l = 0; l < topo_.link_count(); ++l) cap_rem[l] = capacity(l);
@@ -262,25 +256,25 @@ void TransferManager::compute_rates_max_min() {
       if (count[l] > 0) inc = std::min(inc, cap_rem[l] / static_cast<double>(count[l]));
     }
     CHICSIM_ASSERT_MSG(std::isfinite(inc), "max-min filling found no constraining link");
-    for (Flow* f : unfrozen) f->rate += inc;
+    for (std::uint32_t pos : unfrozen) motion_[pos].rate += inc;
     for (LinkId l = 0; l < count.size(); ++l) {
       cap_rem[l] -= inc * static_cast<double>(count[l]);
     }
     // Freeze flows crossing any saturated link.
-    std::vector<Flow*> still;
+    std::vector<std::uint32_t> still;
     still.reserve(unfrozen.size());
-    for (Flow* f : unfrozen) {
+    for (std::uint32_t pos : unfrozen) {
       bool saturated = false;
-      for (LinkId l : *f->path) {
+      for (LinkId l : routes_[pos]) {
         if (cap_rem[l] <= 1e-12 * capacity(l) + 1e-15) {
           saturated = true;
           break;
         }
       }
       if (saturated) {
-        for (LinkId l : *f->path) --count[l];
+        for (LinkId l : routes_[pos]) --count[l];
       } else {
-        still.push_back(f);
+        still.push_back(pos);
       }
     }
     CHICSIM_ASSERT_MSG(still.size() < unfrozen.size(), "max-min filling did not progress");
@@ -300,11 +294,11 @@ void TransferManager::complete_next() {
   }
   CHICSIM_ASSERT_MSG(next != kNoSlot && armed_at_ == engine_.now(),
                      "completion event fired away from the earliest ETA");
-  Flow& f = flows_[next].second;
   settle();
-  CHICSIM_ASSERT_MSG(f.remaining_mb <= kResidualTolMb,
+  Motion& m = motion_[next];
+  CHICSIM_ASSERT_MSG(m.remaining_mb <= kResidualTolMb,
                      "completion event fired before delivery finished");
-  f.remaining_mb = 0.0;
+  m.remaining_mb = 0.0;
   finish(next);
 }
 
@@ -322,15 +316,15 @@ TransferManager::CompletionFn TransferManager::retire(std::size_t pos) {
   Flow& f = flows_[pos].second;
   CompletionFn on_complete = std::move(f.on_complete);
   f.on_complete = nullptr;
-  for (LinkId l : *f.path) {
+  for (LinkId l : routes_[pos]) {
     CHICSIM_ASSERT(link_flow_count_[l] > 0);
     --link_flow_count_[l];
     mark_link_dirty(l);
   }
-  f.path = nullptr;
-  f.rate = 0.0;
+  routes_[pos] = Route{};
+  motion_[pos].rate = 0.0;
+  motion_[pos].hops = 0.0;
   etas_[pos] = util::kTimeInfinity;
-  slot_state_[pos] = kDead;
   ++dead_;
   if (dead_ > active_count() && flows_.size() >= kCompactMinSlots) compact();
   reallocate();
@@ -340,20 +334,23 @@ TransferManager::CompletionFn TransferManager::retire(std::size_t pos) {
 void TransferManager::compact() {
   std::size_t out = 0;
   for (std::size_t pos = 0; pos < flows_.size(); ++pos) {
-    if (slot_state_[pos] == kDead) continue;
+    if (routes_[pos].empty()) continue;
     if (out != pos) {
       flows_[out] = std::move(flows_[pos]);
+      motion_[out] = motion_[pos];
+      routes_[out] = routes_[pos];
       etas_[out] = etas_[pos];
     }
     ++out;
   }
   flows_.resize(out);
+  motion_.resize(out);
+  routes_.resize(out);
   etas_.resize(out);
-  slot_state_.assign(out, kLive);
   dead_ = 0;
   for (auto& positions : link_flows_) positions.clear();
   for (std::size_t pos = 0; pos < out; ++pos) {
-    for (LinkId l : *flows_[pos].second.path) {
+    for (LinkId l : routes_[pos]) {
       link_flows_[l].push_back(static_cast<std::uint32_t>(pos));
     }
   }

@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -139,14 +140,8 @@ class TransferManager {
   [[nodiscard]] SharePolicy policy() const { return policy_; }
 
  private:
+  /// Cold per-flow data, read only at start, lookup and completion.
   struct Flow {
-    // settle() reads these four on every walk: keep them together.
-    util::Megabytes remaining_mb = 0.0;
-    util::MbPerSec rate = 0.0;
-    /// path->size() as a double, so the mb-hop sum in settle() does not
-    /// follow the pointer into Routing's cache.
-    double hops = 0.0;
-    const std::vector<LinkId>* path = nullptr;  // owned by Routing's cache
     /// Order in which ETAs were assigned: equal ETAs complete in this order,
     /// the schedule order in which the calendar breaks equal-time ties.
     std::uint64_t eta_seq = 0;
@@ -155,12 +150,16 @@ class TransferManager {
     CompletionFn on_complete;
   };
 
-  /// Per-slot state byte, parallel to flows_.
-  enum SlotState : std::uint8_t {
-    kLive = 0,
-    kGathered = 1,  ///< queued for rate recomputation in this reallocate()
-    kDead = 2,      ///< retired (finished or aborted), awaiting compaction
+  /// The fields settle() walks on every change (rate 0, hops 0 when dead).
+  struct Motion {
+    util::Megabytes remaining_mb = 0.0;
+    util::MbPerSec rate = 0.0;
+    /// Route length as a double, for the mb-hop sum.
+    double hops = 0.0;
   };
+
+  /// A flow's links in path order, or empty once the slot is dead.
+  using Route = std::span<const LinkId>;
 
   /// Position of an id's slot in flows_ when it is live, else kNoSlot.
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
@@ -175,9 +174,9 @@ class TransferManager {
   /// every flow whose rate changed, and re-arm the completion event.
   void reallocate();
 
-  /// Bottleneck rate of one flow under EqualShare / NoContention: the
-  /// smallest link_share_ on its path.
-  [[nodiscard]] double path_rate(const Flow& f) const;
+  /// Bottleneck rate of one route under EqualShare / NoContention: the
+  /// smallest link_share_ on it.
+  [[nodiscard]] double path_rate(Route route) const;
   void compute_rates_max_min();
 
   /// Re-derive slot `pos`'s ETA as `now + remaining / rate` (with the next
@@ -199,7 +198,7 @@ class TransferManager {
   void finish(std::size_t pos);
 
   /// Take slot `pos` out of the network: return its link shares, mark it
-  /// dead, compact the table when dead slots outnumber live ones, and
+  /// dead (empty route, rate 0, hops 0, ETA +inf), compact the table when dead slots outnumber live ones, and
   /// re-plan. Returns the released completion callback.
   CompletionFn retire(std::size_t pos);
 
@@ -220,19 +219,21 @@ class TransferManager {
   /// creation order on every platform. That order decides the summation
   /// order of delivered_mb_hops in settle() and the eta_seq order of
   /// re-derived ETAs, so both are independent of library internals.
-  /// finish() and abort() do not erase: they tombstone the slot (path
-  /// cleared, rate 0, ETA +inf, state kDead), so positions stay stable and
-  /// link_flows_ stays valid. compact() drops the dead slots once they
-  /// outnumber the live ones in a table of at least kCompactMinSlots.
-  /// Lookups binary-search and treat dead slots as absent.
+  /// finish() and abort() do not erase: they tombstone the slot (see
+  /// retire()), so positions stay stable and link_flows_ stays valid.
+  /// compact() drops the dead slots once they outnumber the live ones in a
+  /// table of at least kCompactMinSlots. Lookups binary-search and treat
+  /// dead slots as absent.
   std::vector<std::pair<TransferId, Flow>> flows_;
+  /// Parallel to flows_: what settle() advances.
+  std::vector<Motion> motion_;
+  /// Parallel to flows_: each slot's links, a view into Routing's
+  /// node-stable path cache; empty marks a dead slot.
+  std::vector<Route> routes_;
   /// Parallel to flows_: each slot's finish time (+inf when dead), derived
   /// from its rate and kept while the rate is bit-unchanged. arm() scans it
   /// for the minimum, complete_next() for the armed time.
   std::vector<util::SimTime> etas_;
-  /// Parallel to flows_: SlotState; the dedupe flag of reallocate()'s
-  /// gather and the dead mark, read without touching the Flow.
-  std::vector<std::uint8_t> slot_state_;
   std::size_t dead_ = 0;
   /// Per link: positions of the flows crossing it. May still list dead
   /// slots until the next compaction.
@@ -249,9 +250,10 @@ class TransferManager {
   /// clearing O(dirty) instead of O(links).
   std::vector<std::uint8_t> link_dirty_;
   std::vector<LinkId> dirty_links_;
-  /// Scratch for reallocate(): positions gathered from the dirty links, and
+  /// reallocate()'s gather: one bit per slot on a dirty link, read back in
+  /// ascending position (= TransferId) order and left all zero.
+  std::vector<std::uint64_t> gather_bits_;
   /// MaxMin's old-rate snapshot (kept to avoid per-call allocations).
-  std::vector<std::uint32_t> gathered_;
   std::vector<double> old_rate_scratch_;
   util::SimTime last_settle_ = 0.0;
   TransferId next_id_ = 1;

@@ -420,6 +420,37 @@ TEST(TransferManager, AbortOfEarliestFlowKeepsOtherOnItsAnalyticTime) {
   EXPECT_EQ(w.tm.stats().transfers_completed, 1u);
 }
 
+TEST(TransferManager, EqualEtasCompleteInIdOrderAcrossTableWords) {
+  // Flow A (1->2, position 0) and flow B (3->4, position 71) both move at
+  // 10 MB/s. At t=10 flow C (3->1) halves both rates; its path dirties the
+  // link of site 3 (listing B) before the link of site 1 (listing A), and
+  // A and B sit in different 64-slot words of the table. Both re-derive
+  // the bit-equal ETA 10 + 900 / 5 = 190; re-derivation in TransferId order
+  // gives A the earlier eta_seq, so A completes first.
+  World w = star_world(12, 10.0);
+  std::vector<std::pair<TransferId, double>> done;
+  auto record = [&](TransferId id) { done.emplace_back(id, w.engine.now()); };
+  TransferId a = w.tm.start(1, 2, 1000.0, TransferPurpose::JobFetch, record);
+  // Long fillers among sites 5..11 share no link with A, B or C.
+  for (int i = 0; i < 70; ++i) {
+    auto src = static_cast<NodeId>(5 + i % 7);
+    auto dst = static_cast<NodeId>(5 + (i + 1) % 7);
+    w.tm.start(src, dst, 10000.0, TransferPurpose::JobFetch, [](TransferId) {});
+  }
+  TransferId b = w.tm.start(3, 4, 1000.0, TransferPurpose::JobFetch, record);
+  ASSERT_EQ(a, 1u);
+  ASSERT_EQ(b, 72u);
+  w.engine.schedule_at(10.0, [&] {
+    w.tm.start(3, 1, 5000.0, TransferPurpose::JobFetch, [](TransferId) {});
+    EXPECT_EQ(w.tm.current_rate(a), 5.0);
+    EXPECT_EQ(w.tm.current_rate(b), 5.0);
+  });
+  w.engine.run_until(200.0);
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0], std::make_pair(a, 190.0));
+  EXPECT_EQ(done[1], std::make_pair(b, 190.0));
+}
+
 /// Completion order and times of 40 random overlapping transfers on the
 /// 10-site hierarchy, pinned bit-for-bit per share policy.
 using Completions = std::vector<std::pair<TransferId, double>>;
