@@ -28,9 +28,9 @@ import sys
 import tempfile
 
 # Fault-heavy runs: site crashes, flaky transfers, a high catalog-loss rate
-# under replica_selection=Random (hundreds of CatalogInvalidated events), and
+# under replica_selection=Random (hundreds of CatalogInvalidated events),
 # multi-input jobs with output return and DataFastSpread under every fault
-# stream at once.
+# stream at once, and requester-driven DataBestClient pushes under crashes.
 FAULT_RUNS = {
     "crashes": "es=JobRandom;ds=DataLeastLoaded;fault_site_crash_rate_per_hour=0.5;"
                "fault_site_downtime_s=900;seed=3",
@@ -41,6 +41,8 @@ FAULT_RUNS = {
                                  "output_fraction=0.2;fault_site_crash_rate_per_hour=0.3;"
                                  "fault_site_downtime_s=600;fault_transfer_fail_prob=0.1;"
                                  "fault_catalog_loss_rate_per_hour=60;seed=11",
+    "best_client_crashes": "es=JobLeastLoaded;ds=DataBestClient;"
+                           "fault_site_crash_rate_per_hour=0.5;fault_site_downtime_s=900;seed=23",
 }
 
 # Network runs: MaxMin sharing under transfer failures and crashes, the

@@ -47,7 +47,6 @@ void SimulationConfig::validate() const {
           "storage_capacity_mb must hold at least one largest dataset");
   require(replication_threshold > 0.0, "replication_threshold must be positive");
   require(ds_check_period_s > 0.0, "ds_check_period_s must be positive");
-  require(popularity_half_life_s >= 0.0, "popularity_half_life_s must be non-negative");
   require(info_staleness_s >= 0.0, "info_staleness_s must be non-negative");
   require(central_decision_overhead_s >= 0.0,
           "central_decision_overhead_s must be non-negative");

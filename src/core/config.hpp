@@ -51,7 +51,6 @@ struct SimulationConfig {
   util::Megabytes storage_capacity_mb = 50000.0;  ///< per site
   double replication_threshold = 10.0;  ///< requests before a dataset is "popular"
   util::SimTime ds_check_period_s = 300.0;  ///< DS evaluation period
-  util::SimTime popularity_half_life_s = 0.0;  ///< 0 = no decay (paper)
   std::size_t num_regions = 6;  ///< regional routers in the hierarchy
   /// Network shape (Hierarchy = paper; Star = flat ablation where
   /// num_regions and the backbone multiplier are ignored and every site
@@ -118,7 +117,8 @@ struct SimulationConfig {
   /// the defaults), not the lifetime total.
   std::size_t fetch_max_retries = 40;
   /// Delay before re-consulting the ES for a job that lost its site or was
-  /// routed to a dead one; grows exponentially per attempt (capped at 16x).
+  /// routed to a dead one, and before retrying an output return whose
+  /// origin is down; grows exponentially per attempt (capped at 16x).
   util::SimTime resubmit_backoff_s = 60.0;
   /// Consecutive failed placements of a job before the run aborts with an
   /// error. Like fetch_max_retries, the counter resets on a successful
@@ -171,7 +171,6 @@ void SimulationConfig::for_each_key(F&& f) {
   f("storage_capacity_mb", &C::storage_capacity_mb);
   f("replication_threshold", &C::replication_threshold);
   f("ds_check_period_s", &C::ds_check_period_s);
-  f("popularity_half_life_s", &C::popularity_half_life_s);
   f("num_regions", &C::num_regions);
   f("topology", &C::topology);
   f("backbone_bandwidth_multiplier", &C::backbone_bandwidth_multiplier);

@@ -142,9 +142,8 @@ void FetchPlanner::schedule_retry(data::SiteIndex dest, data::DatasetId dataset,
                          std::to_string(config_.fetch_max_retries) +
                          " attempts (fetch_max_retries)");
   }
-  double delay = std::min(
-      config_.fetch_retry_base_s * static_cast<double>(1ULL << (fetch.attempts - 1)),
-      config_.fetch_retry_max_s);
+  double delay = util::capped_backoff(config_.fetch_retry_base_s, fetch.attempts,
+                                      config_.fetch_retry_max_s);
   fetch.retry_event = engine_.schedule_in(
       delay, "fetch_retry", [this, dest, dataset] { retry_fetch(dest, dataset); });
 }

@@ -154,10 +154,8 @@ void JobLifecycle::resubmit_with_backoff(site::Job& job, data::SiteIndex strande
                          stranded_site, data::kNoSite, 0.0});
   // Capped exponential backoff: quick first retry (the common transient),
   // but a grid-wide outage does not busy-loop the calendar.
-  double delay = std::min(
-      config_.resubmit_backoff_s * static_cast<double>(1ULL << std::min<std::uint32_t>(
-                                       job.resubmissions - 1, 4)),
-      16.0 * config_.resubmit_backoff_s);
+  double delay = util::capped_backoff(config_.resubmit_backoff_s, job.resubmissions,
+                                      16.0 * config_.resubmit_backoff_s);
   site::JobId id = job.id;
   engine_.schedule_in(delay, "job_resubmit", [this, id] { decide_and_dispatch(job_mut(id)); });
 }
@@ -258,7 +256,9 @@ void JobLifecycle::start_output_return(site::JobId id, util::Megabytes output_mb
     events_.emit(GridEvent{GridEventType::TransferRetried, 0.0, id, data::kNoDataset,
                            data::kNoSite, job.origin_site, output_mb});
     std::uint32_t generation = job.reschedule_generation;
-    engine_.schedule_in(config_.resubmit_backoff_s, "output_retry",
+    double delay = util::capped_backoff(config_.resubmit_backoff_s, job.output_retries,
+                                        16.0 * config_.resubmit_backoff_s);
+    engine_.schedule_in(delay, "output_retry",
                         [this, id, output_mb, generation] {
                           site::Job& j = job_mut(id);
                           if (j.state != site::JobState::ReturningOutput ||

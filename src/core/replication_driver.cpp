@@ -27,8 +27,7 @@ class ReplicationDriver::Ctx final : public ReplicationContext {
 
   [[nodiscard]] std::vector<data::DatasetId> popular_datasets(
       double threshold) const override {
-    std::vector<data::DatasetId> hot = driver_.sites_[self_].popularity().over_threshold(
-        threshold, driver_.engine_.now());
+    std::vector<data::DatasetId> hot = driver_.demand_[self_].over_threshold(threshold);
     // Only datasets the site still holds can be pushed from here.
     std::erase_if(hot, [this](data::DatasetId d) {
       return !driver_.sites_[self_].storage().contains(d);
@@ -37,7 +36,7 @@ class ReplicationDriver::Ctx final : public ReplicationContext {
   }
 
   void reset_popularity(data::DatasetId dataset) override {
-    driver_.sites_[self_].popularity().reset(dataset);
+    driver_.demand_[self_].reset(dataset);
   }
 
   [[nodiscard]] std::size_t inbound_replications(data::SiteIndex site) const override {
@@ -70,7 +69,7 @@ ReplicationDriver::ReplicationDriver(const SimulationConfig& config, sim::Engine
       ds_(make_dataset_scheduler(config.ds, config.replication_threshold)),
       rng_ds_(util::Rng::substream(config.seed, "ds")) {
   inbound_pushes_.assign(sites_.size(), 0);
-  requester_counts_.resize(sites_.size());
+  demand_.resize(sites_.size());
 }
 
 ReplicationDriver::~ReplicationDriver() = default;
@@ -99,8 +98,7 @@ void ReplicationDriver::evaluate_all() {
 
 void ReplicationDriver::note_access(data::DatasetId dataset, data::SiteIndex source,
                                     data::SiteIndex client, data::SiteIndex fetch_dest) {
-  sites_[source].popularity().record(dataset, engine_.now());
-  if (client != source) ++requester_counts_[source][dataset][client];
+  demand_[source].record(dataset, client == source ? data::kNoSite : client);
   if (fetch_dest != data::kNoSite && fetch_dest != source) {
     Ctx ctx(*this, source);
     ds_->on_remote_fetch(ctx, dataset, fetch_dest, rng_ds_);
@@ -114,19 +112,8 @@ std::size_t ReplicationDriver::inbound_replications(data::SiteIndex site) const 
 
 data::SiteIndex ReplicationDriver::top_requester(data::SiteIndex self,
                                                  data::DatasetId dataset) const {
-  CHICSIM_ASSERT(self < requester_counts_.size());
-  const auto& per_dataset = requester_counts_[self];
-  auto it = per_dataset.find(dataset);
-  if (it == per_dataset.end()) return data::kNoSite;
-  data::SiteIndex best = data::kNoSite;
-  std::uint64_t best_count = 0;
-  for (const auto& [requester, count] : it->second) {
-    if (count > best_count || (count == best_count && requester < best)) {
-      best = requester;
-      best_count = count;
-    }
-  }
-  return best;
+  CHICSIM_ASSERT(self < demand_.size());
+  return demand_[self].top_requester(dataset);
 }
 
 data::StorageManager::AddOutcome ReplicationDriver::store_replica(data::SiteIndex s,

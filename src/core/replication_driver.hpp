@@ -1,7 +1,8 @@
 // The Dataset Scheduler driver: owns the DS policy, its periodic
-// evaluation timer, the demand signals it reads (per-site popularity is on
-// the sites; requester counts live here), the replication pushes it starts,
-// and the landing of arrived copies into storage + replica catalog.
+// evaluation timer, the demand signals it reads (one PopularityTracker per
+// site: request counts since the last reset and lifetime requester
+// counts), the replication pushes it starts, and the landing of arrived
+// copies into storage + replica catalog.
 //
 // It is the replica catalog's one writer after master placement: a durable
 // copy that left storage leaves the catalog (ReplicaEvicted), and a
@@ -21,13 +22,13 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/events.hpp"
 #include "core/scheduler.hpp"
 #include "data/catalog.hpp"
+#include "data/popularity.hpp"
 #include "data/replica_catalog.hpp"
 #include "data/storage.hpp"
 #include "net/transfer_manager.hpp"
@@ -58,11 +59,12 @@ class ReplicationDriver final {
   /// One full sweep (the timer body; callable directly from tests).
   void evaluate_all();
 
-  /// Record an access to `dataset` served by `source`: popularity at the
-  /// serving site, client book-keeping for DataBestClient (`client` is the
-  /// job's *origin* site — the community generating the demand), and the
-  /// DataFastSpread hook when an actual network fetch toward `fetch_dest`
-  /// is involved (kNoSite for local hits).
+  /// Record an access to `dataset` served by `source` in the serving
+  /// site's demand record — one request, plus one for `client` when it is
+  /// remote (`client` is the job's *origin* site, the community generating
+  /// the demand; DataBestClient reads it) — and run the DataFastSpread hook
+  /// when an actual network fetch toward `fetch_dest` is involved (kNoSite
+  /// for local hits).
   void note_access(data::DatasetId dataset, data::SiteIndex source,
                    data::SiteIndex client, data::SiteIndex fetch_dest);
 
@@ -136,11 +138,8 @@ class ReplicationDriver final {
   std::map<std::uint64_t, PushRecord> pending_pushes_;
   /// In-flight replication pushes per destination site.
   std::vector<std::size_t> inbound_pushes_;
-  /// Per site: how often each remote site's community fetched each local dataset.
-  // detlint: order-insensitive: top_requester() scans with a total (count, site-index) tiebreak, so any walk order wins
-  std::vector<std::unordered_map<data::DatasetId,
-                                 std::unordered_map<data::SiteIndex, std::uint64_t>>>
-      requester_counts_;
+  /// Per site: the demand its DS reads (popularity and requesters).
+  std::vector<data::PopularityTracker> demand_;
 };
 
 }  // namespace chicsim::core

@@ -32,23 +32,25 @@ std::vector<site::Site> build_sites(const SimulationConfig& config) {
                                  1.0 + config.compute_speed_spread);
     }
     sites.emplace_back(static_cast<data::SiteIndex>(s), elements,
-                       config.storage_capacity_mb, config.popularity_half_life_s, speed);
+                       config.storage_capacity_mb, speed);
   }
   return sites;
 }
 
 std::vector<std::vector<data::SiteIndex>> build_neighbor_lists(
     const SimulationConfig& config) {
-  std::vector<std::vector<data::SiteIndex>> neighbors(config.num_sites);
-  for (std::size_t s = 0; s < config.num_sites; ++s) {
-    for (std::size_t t = 0; t < config.num_sites; ++t) {
-      if (t == s) continue;
-      // A star has no regions: every site is everyone's neighbour.
-      bool same_region = config.topology == TopologyKind::Star ||
-                         t % config.num_regions == s % config.num_regions;
-      if (config.ds_neighbor_scope == NeighborScope::Grid || same_region) {
-        neighbors[s].push_back(static_cast<data::SiteIndex>(t));
-      }
+  const std::size_t n = config.num_sites;
+  // A star has no regions: every site is everyone's neighbour.
+  const bool everyone = config.ds_neighbor_scope == NeighborScope::Grid ||
+                        config.topology == TopologyKind::Star;
+  // Region scope: the sites t == s (mod num_regions), ascending.
+  const std::size_t stride = everyone ? 1 : config.num_regions;
+  std::vector<std::vector<data::SiteIndex>> neighbors(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    std::vector<data::SiteIndex>& list = neighbors[s];
+    list.reserve(everyone ? n - 1 : n / stride);
+    for (std::size_t t = s % stride; t < n; t += stride) {
+      if (t != s) list.push_back(static_cast<data::SiteIndex>(t));
     }
   }
   return neighbors;

@@ -1,40 +1,33 @@
 #include "data/popularity.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "util/error.hpp"
 
 namespace chicsim::data {
 
-PopularityTracker::PopularityTracker(util::SimTime half_life_s) : half_life_s_(half_life_s) {}
-
-double PopularityTracker::decayed(const Cell& cell, util::SimTime now) const {
-  if (half_life_s_ <= 0.0) return cell.count;
-  double dt = now - cell.last_update;
-  if (dt <= 0.0) return cell.count;
-  return cell.count * std::exp2(-dt / half_life_s_);
+void PopularityTracker::record(DatasetId id, SiteIndex client) {
+  Cell& cell = cells_[id];
+  ++cell.count;
+  if (client == kNoSite) return;
+  for (auto& [requester, n] : cell.requesters) {
+    if (requester == client) {
+      ++n;
+      return;
+    }
+  }
+  cell.requesters.emplace_back(client, 1);
 }
 
-void PopularityTracker::record(DatasetId id, util::SimTime now) {
-  Cell& cell = counts_[id];
-  cell.count = decayed(cell, now) + 1.0;
-  cell.last_update = now;
-  ++total_;
+std::uint64_t PopularityTracker::count(DatasetId id) const {
+  auto it = cells_.find(id);
+  return it == cells_.end() ? 0 : it->second.count;
 }
 
-double PopularityTracker::count(DatasetId id, util::SimTime now) const {
-  auto it = counts_.find(id);
-  if (it == counts_.end()) return 0.0;
-  return decayed(it->second, now);
-}
-
-std::vector<DatasetId> PopularityTracker::over_threshold(double threshold,
-                                                         util::SimTime now) const {
-  std::vector<std::pair<double, DatasetId>> hot;
-  for (const auto& [id, cell] : counts_) {
-    double c = decayed(cell, now);
-    if (c >= threshold) hot.emplace_back(c, id);
+std::vector<DatasetId> PopularityTracker::over_threshold(double threshold) const {
+  std::vector<std::pair<std::uint64_t, DatasetId>> hot;
+  for (const auto& [id, cell] : cells_) {
+    if (cell.count > 0 && static_cast<double>(cell.count) >= threshold) {
+      hot.emplace_back(cell.count, id);
+    }
   }
   std::sort(hot.begin(), hot.end(), [](const auto& a, const auto& b) {
     if (a.first != b.first) return a.first > b.first;
@@ -46,8 +39,25 @@ std::vector<DatasetId> PopularityTracker::over_threshold(double threshold,
   return out;
 }
 
-void PopularityTracker::reset(DatasetId id) { counts_.erase(id); }
+void PopularityTracker::reset(DatasetId id) {
+  auto it = cells_.find(id);
+  if (it == cells_.end()) return;
+  it->second.count = 0;
+  if (it->second.requesters.empty()) cells_.erase(it);
+}
 
-void PopularityTracker::reset_all() { counts_.clear(); }
+SiteIndex PopularityTracker::top_requester(DatasetId id) const {
+  auto it = cells_.find(id);
+  if (it == cells_.end()) return kNoSite;
+  SiteIndex best = kNoSite;
+  std::uint64_t best_count = 0;
+  for (const auto& [requester, n] : it->second.requesters) {
+    if (n > best_count || (n == best_count && requester < best)) {
+      best = requester;
+      best_count = n;
+    }
+  }
+  return best;
+}
 
 }  // namespace chicsim::data

@@ -1,62 +1,55 @@
-// Dataset popularity tracking (per site).
+// Dataset demand tracking (per site).
 //
 // "The DS at each site keeps track of the popularity of each dataset
-// locally available" (§3). We count requests per dataset since the counter
-// was last reset; the Dataset Scheduler periodically asks for the datasets
-// whose count has crossed its replication threshold and resets the counter
-// of each dataset it replicates, so a dataset must earn another burst of
-// requests before being replicated again.
-//
-// An optional exponential decay lets popularity age (the paper keeps
-// popularity static over time, so the default half-life is infinite).
+// locally available" (§3). One record per dataset holds the request count
+// since the counter was last reset and each remote requester's lifetime
+// request count. The DS periodically asks for the datasets whose count has
+// crossed its replication threshold and resets the counter of each dataset
+// it replicates, so a dataset must earn another burst of requests before
+// being replicated again; requester counts (DataBestClient's signal)
+// survive resets. Counts never decay, as in the paper.
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "data/dataset.hpp"
-#include "util/units.hpp"
+#include "data/replica_catalog.hpp"
 
 namespace chicsim::data {
 
 class PopularityTracker {
  public:
-  /// `half_life_s` <= 0 disables decay (paper behaviour).
-  explicit PopularityTracker(util::SimTime half_life_s = 0.0);
+  /// Record one request for `id`; unless `client` is kNoSite (local
+  /// demand), it also counts toward that requester's lifetime total.
+  void record(DatasetId id, SiteIndex client);
 
-  /// Record one request for `id` at virtual time `now`.
-  void record(DatasetId id, util::SimTime now);
+  /// Requests for `id` since its counter was last reset.
+  [[nodiscard]] std::uint64_t count(DatasetId id) const;
 
-  /// Decayed request count for `id` as of `now`.
-  [[nodiscard]] double count(DatasetId id, util::SimTime now) const;
-
-  /// Lifetime (undecayed) request total across all datasets.
-  [[nodiscard]] std::uint64_t total_requests() const { return total_; }
-
-  /// Datasets whose decayed count is >= threshold at `now`, sorted by
+  /// Datasets whose count is non-zero and >= threshold, sorted by
   /// descending count (ties by ascending id for determinism).
-  [[nodiscard]] std::vector<DatasetId> over_threshold(double threshold,
-                                                      util::SimTime now) const;
+  [[nodiscard]] std::vector<DatasetId> over_threshold(double threshold) const;
 
-  /// Reset the counter of one dataset (after replicating it).
+  /// Reset the counter of one dataset (after replicating it); its
+  /// requester counts are kept.
   void reset(DatasetId id);
 
-  /// Reset everything.
-  void reset_all();
+  /// The requester with the most recorded requests for `id`, lowest site
+  /// index on a tie (kNoSite when demand has only ever been local).
+  [[nodiscard]] SiteIndex top_requester(DatasetId id) const;
 
  private:
   struct Cell {
-    double count = 0.0;
-    util::SimTime last_update = 0.0;
+    std::uint64_t count = 0;
+    /// Lifetime requests per remote requester, scanned linearly.
+    std::vector<std::pair<SiteIndex, std::uint64_t>> requesters;
   };
 
-  [[nodiscard]] double decayed(const Cell& cell, util::SimTime now) const;
-
-  util::SimTime half_life_s_;
-  // detlint: order-insensitive: per-cell decay is pure; over_threshold() sorts by (count, id) before returning
-  std::unordered_map<DatasetId, Cell> counts_;
-  std::uint64_t total_ = 0;
+  // detlint: order-insensitive: over_threshold() sorts by (count, id) before returning
+  std::unordered_map<DatasetId, Cell> cells_;
 };
 
 }  // namespace chicsim::data

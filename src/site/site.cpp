@@ -7,13 +7,11 @@
 namespace chicsim::site {
 
 Site::Site(data::SiteIndex index, std::size_t num_compute_elements,
-           util::Megabytes storage_capacity_mb, util::SimTime popularity_half_life_s,
-           double speed_factor)
+           util::Megabytes storage_capacity_mb, double speed_factor)
     : index_(index),
       speed_factor_(speed_factor),
       compute_(num_compute_elements, /*start_time=*/0.0),
-      storage_(storage_capacity_mb),
-      popularity_(popularity_half_life_s) {
+      storage_(storage_capacity_mb) {
   CHICSIM_ASSERT_MSG(speed_factor > 0.0, "site speed factor must be positive");
 }
 

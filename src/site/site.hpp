@@ -1,5 +1,5 @@
-// A Grid site: compute elements, storage, a job queue, and the popularity
-// book-keeping its Dataset Scheduler reads.
+// A Grid site: compute elements, storage and a job queue. (The demand
+// signals its Dataset Scheduler reads live in core::ReplicationDriver.)
 //
 // Site is deliberately a passive container — the behaviour (when to start a
 // queued job, what to do when a fetch completes, when to replicate) lives
@@ -11,7 +11,6 @@
 #include <deque>
 #include <vector>
 
-#include "data/popularity.hpp"
 #include "data/storage.hpp"
 #include "site/compute.hpp"
 #include "site/job.hpp"
@@ -21,8 +20,7 @@ namespace chicsim::site {
 class Site {
  public:
   Site(data::SiteIndex index, std::size_t num_compute_elements,
-       util::Megabytes storage_capacity_mb, util::SimTime popularity_half_life_s = 0.0,
-       double speed_factor = 1.0);
+       util::Megabytes storage_capacity_mb, double speed_factor = 1.0);
 
   [[nodiscard]] data::SiteIndex index() const { return index_; }
 
@@ -46,9 +44,6 @@ class Site {
   [[nodiscard]] data::StorageManager& storage() { return storage_; }
   [[nodiscard]] const data::StorageManager& storage() const { return storage_; }
 
-  [[nodiscard]] data::PopularityTracker& popularity() { return popularity_; }
-  [[nodiscard]] const data::PopularityTracker& popularity() const { return popularity_; }
-
   /// --- job queue (arrival order preserved) ---
   void enqueue(JobId job);
   void remove_from_queue(JobId job);
@@ -70,7 +65,6 @@ class Site {
   double speed_factor_;
   ComputePool compute_;
   data::StorageManager storage_;
-  data::PopularityTracker popularity_;
   std::deque<JobId> queue_;
   std::uint64_t dispatched_ = 0;
   std::uint64_t completed_ = 0;

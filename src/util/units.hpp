@@ -8,6 +8,9 @@
 // (`size_mb`, `bandwidth_mbps`, `runtime_s`) so mixups stay visible.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 
 namespace chicsim::util {
@@ -43,6 +46,16 @@ inline constexpr double kEpsilon = 1e-9;
   double diff = a > b ? a - b : b - a;
   double mag = (a > 0 ? a : -a) + (b > 0 ? b : -b);
   return diff <= tol * (1.0 + mag);
+}
+
+/// Capped exponential backoff before retry number `attempt` (1-based):
+/// min(base * 2^(attempt-1), cap). ldexp scales by a power of two exactly,
+/// and no integer shift overflows however large `attempt` grows.
+[[nodiscard]] inline SimTime capped_backoff(SimTime base, std::uint64_t attempt,
+                                            SimTime cap) {
+  // Past 2^4096 every positive base has overflowed to infinity anyway.
+  int exponent = static_cast<int>(std::min<std::uint64_t>(attempt, 4097)) - 1;
+  return std::min(std::ldexp(base, exponent), cap);
 }
 
 }  // namespace chicsim::util

@@ -156,13 +156,6 @@ TEST(Config, DescribeMentionsEveryKnob) {
   }
 }
 
-TEST(Config, DescribeShowsPopularityHalfLife) {
-  SimulationConfig cfg;
-  cfg.apply(util::ConfigFile::parse("popularity_half_life_s = 3600\n"));
-  EXPECT_NE(cfg.describe().find("popularity_half_life_s = 3600\n"), std::string::npos)
-      << cfg.describe();
-}
-
 TEST(Config, StalenessDefaultIsDocumentedValue) {
   SimulationConfig cfg;
   EXPECT_DOUBLE_EQ(cfg.info_staleness_s, 120.0);
@@ -201,16 +194,6 @@ TEST(Config, RejectsNanOrNegativeStaleness) {
   expect_rejected_naming(cfg, "info_staleness_s");
   cfg.info_staleness_s = -1.0;
   expect_rejected_naming(cfg, "info_staleness_s");
-}
-
-TEST(Config, RejectsNanOrNegativeHalfLife) {
-  // A NaN half-life silently disabled replication.
-  SimulationConfig cfg;
-  expect_rejected_naming(cfg, "popularity_half_life_s", "popularity_half_life_s = nan\n");
-  cfg.popularity_half_life_s = std::numeric_limits<double>::quiet_NaN();
-  expect_rejected_naming(cfg, "popularity_half_life_s");
-  cfg.popularity_half_life_s = -1.0;
-  expect_rejected_naming(cfg, "popularity_half_life_s");
 }
 
 TEST(Config, SeedUsesFullUint64Range) {
@@ -324,7 +307,7 @@ TEST(Config, RoundTrippedConfigRunsIdentically) {
   cfg.apply(util::ConfigFile::load(CHICSIM_SOURCE_DIR "/examples/scenarios/heterogeneous.cfg"));
   cfg.total_jobs = 240;
   cfg.fault_transfer_fail_prob = 1.0 / 30.0;
-  cfg.popularity_half_life_s = 3600.0 / 7.0;
+  cfg.ds_check_period_s = 3600.0 / 7.0;
   SimulationConfig back = round_trip(cfg);
   Grid a(cfg);
   a.run();

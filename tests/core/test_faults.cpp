@@ -319,6 +319,38 @@ TEST(Faults, OutputReturnRetriesWhileOriginIsDown) {
   audit_grid(grid);
 }
 
+TEST(Faults, OutputReturnBacksOffThroughALongOriginOutage) {
+  // Output returns back off like resubmissions (60 s doubling to 960 s),
+  // so max_job_resubmissions (40) spans ~9.8 h of origin outage. A fixed
+  // 60 s retry would exhaust it in this 5,000 s outage and abort the run.
+  SimulationConfig cfg = small_config();
+  cfg.output_fraction = 0.5;
+  EventRecorder recorder;
+  Grid grid(cfg);
+  grid.add_observer(&recorder);
+  grid.add_fault_plan(FaultPlan{}.crash_site(100.0, 0).recover_site(5100.0, 0));
+  grid.run();
+  EXPECT_EQ(grid.metrics().jobs_completed, cfg.total_jobs);
+  EXPECT_GT(grid.metrics().output_retries, 0u);
+
+  // Per job, the held output's retries are spaced 60, 120, 240, ... s.
+  std::map<site::JobId, std::vector<double>> retries;
+  for (const GridEvent& e : recorder.of_type(GridEventType::TransferRetried)) {
+    if (e.dataset == data::kNoDataset) retries[e.job].push_back(e.time);  // output leg
+  }
+  bool saw_doubling = false;
+  for (const auto& [job, times] : retries) {
+    for (std::size_t i = 1; i < times.size(); ++i) {
+      double doubled = std::ldexp(cfg.resubmit_backoff_s, static_cast<int>(i) - 1);
+      double expected = std::min(doubled, 16.0 * cfg.resubmit_backoff_s);
+      EXPECT_NEAR(times[i] - times[i - 1], expected, 1e-6) << "job " << job;
+      if (i >= 2) saw_doubling = true;
+    }
+  }
+  EXPECT_TRUE(saw_doubling);
+  audit_grid(grid);
+}
+
 TEST(Faults, CrashHeavyStochasticRunStillCompletesEveryJob) {
   SimulationConfig cfg = small_config();
   cfg.fault_site_crash_rate_per_hour = 1.0;

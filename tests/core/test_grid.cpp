@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "core/world_builder.hpp"
 #include "util/error.hpp"
 #include "workload/trace.hpp"
 
@@ -160,6 +164,40 @@ TEST(Grid, NeighborsRegionScopeListsSiblings) {
   for (data::SiteIndex s = 0; s < cfg.num_sites; ++s) {
     ASSERT_EQ(grid.info().neighbors(s).size(), 1u);
     EXPECT_EQ(grid.info().neighbors(s)[0] % cfg.num_regions, s % cfg.num_regions);
+  }
+}
+
+TEST(Grid, NeighborListsMatchThePairwiseDefinition) {
+  // Reference: every ordered pair, kept when the scope admits it.
+  auto reference = [](const SimulationConfig& cfg) {
+    std::vector<std::vector<data::SiteIndex>> lists(cfg.num_sites);
+    for (std::size_t s = 0; s < cfg.num_sites; ++s) {
+      for (std::size_t t = 0; t < cfg.num_sites; ++t) {
+        bool same_region = cfg.topology == TopologyKind::Star ||
+                           t % cfg.num_regions == s % cfg.num_regions;
+        if (t != s && (cfg.ds_neighbor_scope == NeighborScope::Grid || same_region)) {
+          lists[s].push_back(static_cast<data::SiteIndex>(t));
+        }
+      }
+    }
+    return lists;
+  };
+  // (sites, regions): even split, uneven split, one region, one site per region.
+  const std::pair<std::size_t, std::size_t> shapes[] = {{6, 3}, {7, 3}, {11, 4}, {5, 1},
+                                                        {4, 4}, {1, 1}};
+  for (TopologyKind topology : {TopologyKind::Hierarchy, TopologyKind::Star}) {
+    for (NeighborScope scope : {NeighborScope::Grid, NeighborScope::Region}) {
+      for (auto [sites, regions] : shapes) {
+        SimulationConfig cfg;
+        cfg.topology = topology;
+        cfg.ds_neighbor_scope = scope;
+        cfg.num_sites = sites;
+        cfg.num_regions = regions;
+        EXPECT_EQ(build_neighbor_lists(cfg), reference(cfg))
+            << to_string(topology) << " " << to_string(scope) << " " << sites << "/"
+            << regions;
+      }
+    }
   }
 }
 

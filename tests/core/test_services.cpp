@@ -4,7 +4,9 @@
 // monolith; these tests pin each service's behavior in isolation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "core/algorithms.hpp"
 #include "core/experiment.hpp"
@@ -108,6 +110,85 @@ TEST(ReplicationDriver, TopRequesterTracksTheDominantCommunity) {
   // Purely local demand never registers a requester.
   grid.replication().note_access(d, holder, holder, data::kNoSite);
   EXPECT_EQ(grid.replication().top_requester(holder, d), a);
+  // Demand is the serving site's own: no other site saw any.
+  EXPECT_EQ(grid.replication().top_requester(a, d), data::kNoSite);
+}
+
+/// A DS that, at `holder`, resets `dataset` and records what its context
+/// reports before and after; every other site records what it sees.
+class ResetProbe final : public DatasetScheduler {
+ public:
+  ResetProbe(data::SiteIndex holder, data::DatasetId dataset)
+      : holder_(holder), dataset_(dataset) {}
+  [[nodiscard]] const char* name() const override { return "ResetProbe"; }
+
+  void evaluate(ReplicationContext& ctx, util::Rng& /*rng*/) override {
+    if (ctx.self() != holder_) {
+      elsewhere_hot += ctx.popular_datasets(0.0).size();
+      if (ctx.top_requester(dataset_) != data::kNoSite) ++elsewhere_requesters;
+      return;
+    }
+    hot_before = ctx.popular_datasets(kThreshold);
+    if (reset_next) ctx.reset_popularity(dataset_);
+    top_after = ctx.top_requester(dataset_);
+    hot_after = ctx.popular_datasets(kThreshold);
+    any_after = ctx.popular_datasets(0.0);
+  }
+
+  static constexpr double kThreshold = 3.0;
+  bool reset_next = true;
+  std::vector<data::DatasetId> hot_before, hot_after, any_after;
+  data::SiteIndex top_after = data::kNoSite;
+  std::size_t elsewhere_hot = 0;
+  std::size_t elsewhere_requesters = 0;
+
+ private:
+  data::SiteIndex holder_;
+  data::DatasetId dataset_;
+};
+
+bool contains(const std::vector<data::DatasetId>& v, data::DatasetId d) {
+  return std::find(v.begin(), v.end(), d) != v.end();
+}
+
+TEST(ReplicationDriver, ResetClearsPopularityButKeepsTheTopRequester) {
+  SimulationConfig cfg = service_config();
+  Grid grid(cfg);
+  data::DatasetId d = 3;
+  data::SiteIndex holder = grid.replicas().locations(d).front();
+  auto a = static_cast<data::SiteIndex>((holder + 1) % grid.site_count());
+  auto b = static_cast<data::SiteIndex>((holder + 2) % grid.site_count());
+  auto probe_owner = std::make_unique<ResetProbe>(holder, d);
+  ResetProbe& probe = *probe_owner;
+  grid.replication().set_dataset_scheduler(std::move(probe_owner));
+  ReplicationDriver& driver = grid.replication();
+
+  // Remote demand from a (x3) and b (x1), plus two local requests.
+  for (data::SiteIndex client : {a, a, b, a, holder, holder}) {
+    driver.note_access(d, holder, client, data::kNoSite);
+  }
+  driver.evaluate_all();
+  EXPECT_TRUE(contains(probe.hot_before, d));
+  EXPECT_EQ(probe.top_after, a);  // the reset kept the lifetime requesters
+  EXPECT_FALSE(contains(probe.hot_after, d));
+  EXPECT_FALSE(contains(probe.any_after, d));  // not even at threshold 0
+  EXPECT_EQ(probe.elsewhere_hot, 0u);
+  EXPECT_EQ(probe.elsewhere_requesters, 0u);
+
+  // No new demand: still not popular, still the same top requester.
+  probe.reset_next = false;
+  driver.evaluate_all();
+  EXPECT_FALSE(contains(probe.hot_before, d));
+  EXPECT_FALSE(contains(probe.any_after, d));
+  EXPECT_EQ(probe.top_after, a);
+
+  // Requested again, it is popular again, and b now has the most lifetime
+  // requests (4 against a's 3).
+  for (int i = 0; i < 3; ++i) driver.note_access(d, holder, b, data::kNoSite);
+  driver.evaluate_all();
+  EXPECT_TRUE(contains(probe.hot_before, d));
+  EXPECT_TRUE(contains(probe.any_after, d));
+  EXPECT_EQ(probe.top_after, b);
 }
 
 // --- JobLifecycle ---

@@ -7,28 +7,21 @@ namespace {
 
 TEST(Popularity, CountsRequests) {
   PopularityTracker p;
-  p.record(0, 1.0);
-  p.record(0, 2.0);
-  p.record(1, 2.0);
-  EXPECT_DOUBLE_EQ(p.count(0, 5.0), 2.0);
-  EXPECT_DOUBLE_EQ(p.count(1, 5.0), 1.0);
-  EXPECT_DOUBLE_EQ(p.count(9, 5.0), 0.0);
-  EXPECT_EQ(p.total_requests(), 3u);
-}
-
-TEST(Popularity, NoDecayByDefault) {
-  PopularityTracker p;
-  p.record(0, 0.0);
-  EXPECT_DOUBLE_EQ(p.count(0, 1e9), 1.0);
+  p.record(0, kNoSite);
+  p.record(0, 4);
+  p.record(1, kNoSite);
+  EXPECT_EQ(p.count(0), 2u);
+  EXPECT_EQ(p.count(1), 1u);
+  EXPECT_EQ(p.count(9), 0u);
 }
 
 TEST(Popularity, OverThresholdSortedByCount) {
   PopularityTracker p;
-  for (int i = 0; i < 5; ++i) p.record(0, 1.0);
-  for (int i = 0; i < 9; ++i) p.record(1, 1.0);
-  for (int i = 0; i < 5; ++i) p.record(2, 1.0);
-  p.record(3, 1.0);
-  auto hot = p.over_threshold(5.0, 2.0);
+  for (int i = 0; i < 5; ++i) p.record(0, kNoSite);
+  for (int i = 0; i < 9; ++i) p.record(1, kNoSite);
+  for (int i = 0; i < 5; ++i) p.record(2, kNoSite);
+  p.record(3, kNoSite);
+  auto hot = p.over_threshold(5.0);
   ASSERT_EQ(hot.size(), 3u);
   EXPECT_EQ(hot[0], 1u);  // highest count first
   EXPECT_EQ(hot[1], 0u);  // count ties break by ascending id
@@ -37,43 +30,52 @@ TEST(Popularity, OverThresholdSortedByCount) {
 
 TEST(Popularity, ResetClearsOneDataset) {
   PopularityTracker p;
-  p.record(0, 1.0);
-  p.record(1, 1.0);
+  p.record(0, kNoSite);
+  p.record(1, kNoSite);
   p.reset(0);
-  EXPECT_DOUBLE_EQ(p.count(0, 2.0), 0.0);
-  EXPECT_DOUBLE_EQ(p.count(1, 2.0), 1.0);
-  // total is a lifetime counter and survives resets.
-  EXPECT_EQ(p.total_requests(), 2u);
+  EXPECT_EQ(p.count(0), 0u);
+  EXPECT_EQ(p.count(1), 1u);
+  p.reset(7);  // never requested: nothing to clear
+  EXPECT_EQ(p.count(7), 0u);
 }
 
-TEST(Popularity, ResetAll) {
+TEST(Popularity, TopRequesterBreaksTiesByLowestSite) {
   PopularityTracker p;
-  p.record(0, 1.0);
-  p.record(1, 1.0);
-  p.reset_all();
-  EXPECT_TRUE(p.over_threshold(0.5, 2.0).empty());
+  EXPECT_EQ(p.top_requester(0), kNoSite);
+  p.record(0, kNoSite);  // local demand names no requester
+  EXPECT_EQ(p.top_requester(0), kNoSite);
+  p.record(0, 5);
+  p.record(0, 2);
+  EXPECT_EQ(p.top_requester(0), 2u);  // 1 each: lowest index wins
+  p.record(0, 5);
+  EXPECT_EQ(p.top_requester(0), 5u);
+  EXPECT_EQ(p.count(0), 4u);  // every request counts, local or remote
 }
 
-TEST(Popularity, HalfLifeDecaysCounts) {
-  PopularityTracker p(/*half_life_s=*/100.0);
-  for (int i = 0; i < 8; ++i) p.record(0, 0.0);
-  EXPECT_NEAR(p.count(0, 100.0), 4.0, 1e-9);
-  EXPECT_NEAR(p.count(0, 200.0), 2.0, 1e-9);
-  EXPECT_NEAR(p.count(0, 300.0), 1.0, 1e-9);
+TEST(Popularity, RequestersOutliveReset) {
+  PopularityTracker p;
+  p.record(0, 3);
+  p.record(0, 3);
+  p.reset(0);
+  EXPECT_EQ(p.count(0), 0u);
+  EXPECT_EQ(p.top_requester(0), 3u);
+  p.record(0, 1);
+  EXPECT_EQ(p.count(0), 1u);
+  EXPECT_EQ(p.top_requester(0), 3u);  // 2 lifetime requests beat 1
 }
 
-TEST(Popularity, DecayAppliesBetweenRecordings) {
-  PopularityTracker p(/*half_life_s=*/100.0);
-  p.record(0, 0.0);   // 1.0 at t=0
-  p.record(0, 100.0); // 0.5 decayed + 1 = 1.5 at t=100
-  EXPECT_NEAR(p.count(0, 100.0), 1.5, 1e-9);
-}
-
-TEST(Popularity, ThresholdHonoursDecay) {
-  PopularityTracker p(/*half_life_s=*/10.0);
-  for (int i = 0; i < 4; ++i) p.record(0, 0.0);
-  EXPECT_EQ(p.over_threshold(3.0, 0.0).size(), 1u);
-  EXPECT_TRUE(p.over_threshold(3.0, 20.0).empty());  // decayed to 1
+TEST(Popularity, ResetDatasetIsNeverOverThreshold) {
+  PopularityTracker p;
+  p.record(0, 3);  // keeps a requester, so the reset keeps the record
+  p.record(1, kNoSite);
+  p.reset(0);
+  p.reset(1);
+  // Even a threshold of zero (or below) reports only requested datasets.
+  EXPECT_TRUE(p.over_threshold(0.0).empty());
+  EXPECT_TRUE(p.over_threshold(-1.0).empty());
+  p.record(0, kNoSite);
+  ASSERT_EQ(p.over_threshold(0.0).size(), 1u);
+  EXPECT_EQ(p.over_threshold(0.0)[0], 0u);
 }
 
 }  // namespace

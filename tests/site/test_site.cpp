@@ -61,11 +61,5 @@ TEST(Site, DispatchCounter) {
   EXPECT_EQ(s.jobs_dispatched_here(), 2u);
 }
 
-TEST(Site, PopularityIsPerSiteState) {
-  Site s(0, 2, 1000.0);
-  s.popularity().record(7, 1.0);
-  EXPECT_DOUBLE_EQ(s.popularity().count(7, 2.0), 1.0);
-}
-
 }  // namespace
 }  // namespace chicsim::site

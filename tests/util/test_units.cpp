@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace chicsim::util {
 namespace {
 
@@ -37,6 +40,17 @@ TEST(Units, ConstantsAreSane) {
   EXPECT_DOUBLE_EQ(kMbPerGb, 1000.0);
   EXPECT_GT(kEpsilon, 0.0);
   EXPECT_LT(kEpsilon, 1e-6);
+}
+
+TEST(Units, CappedBackoffDoublesUpToTheCap) {
+  EXPECT_EQ(capped_backoff(30.0, 1, 600.0), 30.0);
+  EXPECT_EQ(capped_backoff(30.0, 2, 600.0), 60.0);
+  EXPECT_EQ(capped_backoff(30.0, 5, 600.0), 480.0);
+  EXPECT_EQ(capped_backoff(30.0, 6, 600.0), 600.0);
+  // Attempts far past any 64-bit shift still land on the cap.
+  EXPECT_EQ(capped_backoff(30.0, 65, 600.0), 600.0);
+  EXPECT_EQ(capped_backoff(30.0, 5000, 600.0), 600.0);
+  EXPECT_EQ(capped_backoff(30.0, std::numeric_limits<std::uint64_t>::max(), 600.0), 600.0);
 }
 
 }  // namespace
