@@ -51,10 +51,6 @@ data::SiteIndex JobRandomEs::select_site(const site::Job& job, const GridView& v
   (void)job;
   std::vector<data::SiteIndex> sites;
   placeable_sites(view, sites);
-  // The full-grid case keeps the historical single-draw shape exactly.
-  if (sites.size() == view.num_sites()) {
-    return static_cast<data::SiteIndex>(rng.index(view.num_sites()));
-  }
   return sites[rng.index(sites.size())];
 }
 

@@ -81,9 +81,10 @@ class JobAdaptiveEs final : public ExternalScheduler {
 };
 
 /// Extension: exhaustive estimated-completion scheduling — evaluate the
-/// JobAdaptive estimate at *every* site and take the argmin (ties by lowest
-/// index for determinism). The centralized-omniscient upper bound the
-/// decoupled heuristics are compared against.
+/// JobAdaptive estimate at *every* placeable site and take the argmin
+/// (sites within kEpsilon of the best tie, and the tie breaks through the
+/// rng). The centralized-omniscient upper bound the decoupled heuristics
+/// are compared against.
 class JobBestEstimateEs final : public ExternalScheduler {
  public:
   [[nodiscard]] const char* name() const override {

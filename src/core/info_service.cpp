@@ -29,27 +29,23 @@ util::SimTime InfoService::current_epoch() const {
   return std::floor(now() / config_.info_staleness_s) * config_.info_staleness_s;
 }
 
-bool InfoService::capture_due(util::SimTime& epoch, util::SimTime& checked_at,
-                              std::size_t have, std::size_t want) const {
-  if (now() == checked_at && have == want) return false;
+bool InfoService::capture_due(util::SimTime& epoch, util::SimTime& checked_at) const {
+  if (now() == checked_at) return false;
   checked_at = now();
   util::SimTime current = current_epoch();
-  if (current <= epoch && have == want) return false;
+  if (current <= epoch) return false;
   epoch = current;
   return true;
 }
 
 void InfoService::refresh_loads() const {
-  if (!capture_due(load_epoch_, load_checked_, load_snapshot_.size(), sites_.size())) return;
+  if (!capture_due(load_epoch_, load_checked_)) return;
   load_snapshot_.resize(sites_.size());
   for (std::size_t i = 0; i < sites_.size(); ++i) load_snapshot_[i] = sites_[i].load();
 }
 
 void InfoService::refresh_replicas() const {
-  if (!capture_due(replica_epoch_, replica_checked_, replica_snapshot_.size(),
-                   catalog_.size())) {
-    return;
-  }
+  if (!capture_due(replica_epoch_, replica_checked_)) return;
   replica_snapshot_.resize(catalog_.size());
   for (data::DatasetId d = 0; d < catalog_.size(); ++d) {
     replica_snapshot_[d] = replicas_.locations(d);
@@ -57,7 +53,7 @@ void InfoService::refresh_replicas() const {
 }
 
 void InfoService::refresh_alive() const {
-  if (!capture_due(alive_epoch_, alive_checked_, alive_snapshot_.size(), sites_.size())) return;
+  if (!capture_due(alive_epoch_, alive_checked_)) return;
   alive_snapshot_.resize(sites_.size());
   for (std::size_t i = 0; i < sites_.size(); ++i) alive_snapshot_[i] = sites_[i].alive() ? 1 : 0;
 }

@@ -73,9 +73,9 @@ class InfoService final : public GridView {
   void refresh_replicas() const;
   void refresh_alive() const;
   /// Whether a family captured in `epoch` must be re-captured now; checks
-  /// the epoch once per virtual instant, and always when `have != want`.
-  bool capture_due(util::SimTime& epoch, util::SimTime& checked_at, std::size_t have,
-                   std::size_t want) const;
+  /// the epoch once per virtual instant. Site and catalog sizes are fixed,
+  /// and the initial epoch of -1 forces the first capture.
+  bool capture_due(util::SimTime& epoch, util::SimTime& checked_at) const;
 
   const SimulationConfig& config_;
   const sim::Engine& engine_;

@@ -218,7 +218,6 @@ void JobLifecycle::on_compute_complete(site::JobId id) {
 
   site::Site& site = sites_[job.exec_site];
   site.compute().release(engine_.now());
-  site.note_job_finished();
   for (data::DatasetId input : job.inputs) site.storage().release(input);
   try_start_jobs(job.exec_site);
 
@@ -336,6 +335,7 @@ void JobLifecycle::finalize_job(site::JobId id) {
   at_site.pop_back();
   events_.emit(GridEvent{GridEventType::JobCompleted, 0.0, id, data::kNoDataset,
                          job.exec_site, job.origin_site, 0.0});
+  sites_[job.exec_site].note_job_finished();
   ++completed_jobs_;
 
   // Closed loop: the user submits its next job now.

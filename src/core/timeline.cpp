@@ -21,7 +21,6 @@ void TimelineRecorder::sample_now() {
   s.time = grid_.engine().now();
   std::size_t busy = 0;
   std::size_t total = 0;
-  std::uint64_t completed = 0;
   for (data::SiteIndex i = 0; i < grid_.site_count(); ++i) {
     const site::Site& site = grid_.site_at(i);
     s.jobs_queued += site.load();
@@ -29,9 +28,8 @@ void TimelineRecorder::sample_now() {
     s.max_site_queue = std::max(s.max_site_queue, site.load());
     busy += site.compute().busy();
     total += site.compute().size();
-    completed += site.jobs_completed_here();
   }
-  s.jobs_completed = completed;
+  s.jobs_completed = grid_.lifecycle().completed_jobs();
   s.active_transfers = grid_.transfers().active_count();
   s.total_replicas = grid_.replicas().total_replicas();
   s.busy_fraction = total > 0 ? static_cast<double>(busy) / static_cast<double>(total) : 0.0;

@@ -6,159 +6,152 @@
 
 namespace chicsim::data {
 
+namespace {
+
+/// The first entry whose id is not below `id` (entries are sorted by id).
+template <class Entries>
+auto lower_bound_id(Entries& entries, DatasetId id) {
+  return std::lower_bound(entries.begin(), entries.end(), id,
+                          [](const auto& e, DatasetId d) { return e.id < d; });
+}
+
+/// The entry holding `id`, or nullptr.
+template <class Entries>
+auto* find_entry(Entries& entries, DatasetId id) {
+  auto it = lower_bound_id(entries, id);
+  return it != entries.end() && it->id == id ? &*it : nullptr;
+}
+
+}  // namespace
+
 StorageManager::StorageManager(util::Megabytes capacity_mb) : capacity_mb_(capacity_mb) {
   CHICSIM_ASSERT_MSG(capacity_mb > 0.0, "storage capacity must be positive");
 }
 
 void StorageManager::add_master(DatasetId id, util::Megabytes size_mb) {
   CHICSIM_ASSERT_MSG(size_mb > 0.0, "master copy with non-positive size");
-  CHICSIM_ASSERT_MSG(entries_.find(id) == entries_.end(), "master copy added twice");
+  auto at = lower_bound_id(entries_, id);
+  CHICSIM_ASSERT_MSG(at == entries_.end() || at->id != id, "master copy added twice");
   CHICSIM_ASSERT_MSG(used_mb_ + size_mb <= capacity_mb_ + util::kEpsilon,
                      "pinned master copies exceed storage capacity");
-  Entry e;
-  e.size_mb = size_mb;
-  e.pinned = true;
-  entries_.emplace(id, e);
+  entries_.insert(at, Entry{.id = id, .size_mb = size_mb, .pinned = true});
   used_mb_ += size_mb;
 }
 
 StorageManager::AddOutcome StorageManager::add_replica(DatasetId id, util::Megabytes size_mb) {
   CHICSIM_ASSERT_MSG(size_mb > 0.0, "replica with non-positive size");
   AddOutcome outcome;
-  auto it = entries_.find(id);
-  if (it != entries_.end()) {
-    touch(id);
-    return outcome;  // already held
+  if (Entry* e = find_entry(entries_, id)) {
+    e->last_use = ++use_clock_;
+    return outcome;  // already held: a touch
   }
   if (used_mb_ + size_mb > capacity_mb_) make_room(size_mb, outcome.evicted);
-  Entry e;
-  e.size_mb = size_mb;
-  if (used_mb_ + size_mb > capacity_mb_ + util::kEpsilon) {
-    // Could not clear enough space (everything left is pinned/referenced):
-    // store transiently so the requesting job can still run.
-    e.transient = true;
-    ++stats_.overflow_adds;
-  }
-  lru_.push_front(id);
-  e.lru_pos = lru_.begin();
-  e.in_lru = true;
-  entries_.emplace(id, e);
+  // Could not clear enough space (everything left is pinned/referenced):
+  // store transiently so the requesting job can still run.
+  outcome.transient = used_mb_ + size_mb > capacity_mb_ + util::kEpsilon;
+  if (outcome.transient) ++stats_.overflow_adds;
+  entries_.insert(lower_bound_id(entries_, id),
+                  Entry{.id = id,
+                        .size_mb = size_mb,
+                        .transient = outcome.transient,
+                        .last_use = ++use_clock_});
   used_mb_ += size_mb;
   outcome.newly_added = true;
-  outcome.transient = e.transient;
   return outcome;
 }
 
-bool StorageManager::contains(DatasetId id) const { return entries_.find(id) != entries_.end(); }
+bool StorageManager::contains(DatasetId id) const { return find_entry(entries_, id) != nullptr; }
 
 bool StorageManager::lookup(DatasetId id) {
-  bool present = contains(id);
-  if (present) {
-    ++stats_.hits;
-    touch(id);
-  } else {
+  Entry* e = find_entry(entries_, id);
+  if (e == nullptr) {
     ++stats_.misses;
+    return false;
   }
-  return present;
+  ++stats_.hits;
+  e->last_use = ++use_clock_;
+  return true;
 }
 
 void StorageManager::touch(DatasetId id) {
-  auto it = entries_.find(id);
-  CHICSIM_ASSERT_MSG(it != entries_.end(), "touch of absent dataset");
-  Entry& e = it->second;
-  if (!e.in_lru) return;  // pinned
-  lru_.erase(e.lru_pos);
-  lru_.push_front(id);
-  e.lru_pos = lru_.begin();
+  Entry* e = find_entry(entries_, id);
+  CHICSIM_ASSERT_MSG(e != nullptr, "touch of absent dataset");
+  e->last_use = ++use_clock_;
 }
 
 void StorageManager::acquire(DatasetId id) {
-  auto it = entries_.find(id);
-  CHICSIM_ASSERT_MSG(it != entries_.end(), "acquire of absent dataset");
-  ++it->second.refcount;
+  Entry* e = find_entry(entries_, id);
+  CHICSIM_ASSERT_MSG(e != nullptr, "acquire of absent dataset");
+  ++e->refcount;
 }
 
 void StorageManager::release(DatasetId id) {
-  auto it = entries_.find(id);
-  CHICSIM_ASSERT_MSG(it != entries_.end(), "release of absent dataset");
-  Entry& e = it->second;
-  CHICSIM_ASSERT_MSG(e.refcount > 0, "release without matching acquire");
-  --e.refcount;
-  if (e.refcount == 0 && e.transient) drop_entry(id);
+  Entry* e = find_entry(entries_, id);
+  CHICSIM_ASSERT_MSG(e != nullptr, "release of absent dataset");
+  CHICSIM_ASSERT_MSG(e->refcount > 0, "release without matching acquire");
+  --e->refcount;
+  if (e->refcount == 0 && e->transient) drop_entry(*e);
 }
 
 bool StorageManager::evict(DatasetId id) {
-  auto it = entries_.find(id);
-  if (it == entries_.end()) return false;
-  const Entry& e = it->second;
-  if (e.pinned || e.refcount > 0) return false;
-  drop_entry(id);
+  const Entry* e = find_entry(entries_, id);
+  if (e == nullptr || e->pinned || e->refcount > 0) return false;
+  drop_entry(*e);
   ++stats_.evictions;
   return true;
 }
 
 std::vector<DatasetId> StorageManager::invalidate_unpinned() {
+  // One pass in id order: masters stay (their referencing jobs are being
+  // killed by the caller), everything else goes.
   std::vector<DatasetId> dropped;
-  std::vector<DatasetId> victims;
-  victims.reserve(entries_.size());
-  for (auto& [id, e] : entries_) {
+  std::size_t kept = 0;
+  for (Entry& e : entries_) {
     if (e.pinned) {
-      e.refcount = 0;  // referencing jobs are being killed by the caller
-    } else {
-      victims.push_back(id);
-      if (!e.transient) dropped.push_back(id);
+      e.refcount = 0;
+      entries_[kept++] = e;
+      continue;
     }
-  }
-  for (DatasetId id : victims) {
-    Entry& e = entries_.at(id);
-    e.refcount = 0;
-    e.transient = false;  // drop_entry path; transience already accounted
-    drop_entry(id);
+    if (!e.transient) dropped.push_back(e.id);
+    used_mb_ = std::max(used_mb_ - e.size_mb, 0.0);  // absorb FP dust
     ++stats_.evictions;
   }
-  std::sort(dropped.begin(), dropped.end());
+  entries_.resize(kept);
   return dropped;
 }
 
 bool StorageManager::is_pinned(DatasetId id) const {
-  auto it = entries_.find(id);
-  return it != entries_.end() && it->second.pinned;
+  const Entry* e = find_entry(entries_, id);
+  return e != nullptr && e->pinned;
 }
 
 std::vector<DatasetId> StorageManager::held() const {
   std::vector<DatasetId> out;
   out.reserve(entries_.size());
-  for (const auto& [id, _] : entries_) out.push_back(id);
+  for (const Entry& e : entries_) out.push_back(e.id);
   return out;
 }
 
 void StorageManager::make_room(util::Megabytes needed_mb, std::vector<DatasetId>& evicted) {
-  // Snapshot the eviction order (least recently used first) so dropping
-  // entries cannot invalidate the iteration.
-  std::vector<DatasetId> order(lru_.rbegin(), lru_.rend());
-  for (DatasetId victim : order) {
-    if (used_mb_ + needed_mb <= capacity_mb_ + util::kEpsilon) break;
-    auto eit = entries_.find(victim);
-    CHICSIM_ASSERT(eit != entries_.end());
-    if (eit->second.refcount > 0) continue;
+  while (used_mb_ + needed_mb > capacity_mb_ + util::kEpsilon) {
+    const Entry* victim = nullptr;
+    for (const Entry& e : entries_) {
+      if (e.pinned || e.refcount > 0) continue;
+      if (victim == nullptr || e.last_use < victim->last_use) victim = &e;
+    }
+    if (victim == nullptr) return;  // everything left is pinned or referenced
     // Transient entries were never durable copies (callers did not register
     // them anywhere), so their disappearance is not reported.
-    bool was_transient = eit->second.transient;
-    drop_entry(victim);
+    if (!victim->transient) evicted.push_back(victim->id);
+    drop_entry(*victim);
     ++stats_.evictions;
-    if (!was_transient) evicted.push_back(victim);
   }
 }
 
-void StorageManager::drop_entry(DatasetId id) {
-  auto it = entries_.find(id);
-  CHICSIM_ASSERT(it != entries_.end());
-  Entry& e = it->second;
+void StorageManager::drop_entry(const Entry& e) {
   CHICSIM_ASSERT_MSG(!e.pinned, "attempt to drop a pinned master copy");
-  if (e.in_lru) lru_.erase(e.lru_pos);
-  used_mb_ -= e.size_mb;
-  if (used_mb_ < 0.0) used_mb_ = 0.0;  // absorb FP dust
-  entries_.erase(it);
+  used_mb_ = std::max(used_mb_ - e.size_mb, 0.0);  // absorb FP dust
+  entries_.erase(entries_.begin() + (&e - entries_.data()));
 }
 
 }  // namespace chicsim::data

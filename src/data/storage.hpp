@@ -15,11 +15,15 @@
 // entry is dropped when its last reference is released, and the overflow is
 // recorded in the stats so experiments can detect an undersized
 // configuration.
+//
+// Layout: one vector of entries sorted by dataset id (a site holds tens of
+// files, so a binary search beats a node-based map and a dense per-dataset
+// table would cost sites × datasets slots). LRU order is a use clock: every
+// store and touch stamps the entry, and eviction takes the unreferenced
+// cache entry with the oldest stamp.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <vector>
 
 #include "data/dataset.hpp"
@@ -62,7 +66,7 @@ class StorageManager {
   /// input here" query).
   [[nodiscard]] bool lookup(DatasetId id);
 
-  /// Mark recent use (moves a cache entry to MRU; no-op for pinned).
+  /// Mark recent use (stamps the entry with the use clock).
   void touch(DatasetId id);
 
   /// Reference counting: a referenced entry cannot be evicted. acquire()
@@ -90,32 +94,30 @@ class StorageManager {
   [[nodiscard]] std::size_t entry_count() const { return entries_.size(); }
   [[nodiscard]] const StorageStats& stats() const { return stats_; }
 
-  /// Datasets currently held (pinned + cached), unordered.
+  /// Datasets currently held (pinned + cached), in ascending id order.
   [[nodiscard]] std::vector<DatasetId> held() const;
 
  private:
   struct Entry {
+    DatasetId id = kNoDataset;
     util::Megabytes size_mb = 0.0;
     bool pinned = false;
     bool transient = false;
     int refcount = 0;
-    /// Valid only for unpinned entries: position in lru_ (MRU at front).
-    std::list<DatasetId>::iterator lru_pos;
-    bool in_lru = false;
+    std::uint64_t last_use = 0;  ///< use-clock stamp; only cache entries read it
   };
 
   /// Evict unreferenced cache entries (LRU first) until `needed_mb` fits or
   /// nothing more can go. Appends evicted ids.
   void make_room(util::Megabytes needed_mb, std::vector<DatasetId>& evicted);
-  void drop_entry(DatasetId id);
+  void drop_entry(const Entry& e);
 
   util::Megabytes capacity_mb_;
   util::Megabytes used_mb_ = 0.0;
-  /// Ordered by DatasetId so invalidate_unpinned() wipes (and subtracts
-  /// used_mb_, an FP sum) in id order and held() is sorted on every
-  /// platform; with a hash map both orders would leak bucket layout.
-  std::map<DatasetId, Entry> entries_;
-  std::list<DatasetId> lru_;  ///< front = most recently used
+  /// Sorted by id, so invalidate_unpinned() wipes (and subtracts used_mb_,
+  /// an FP sum) in id order and held() is sorted on every platform.
+  std::vector<Entry> entries_;
+  std::uint64_t use_clock_ = 0;
   StorageStats stats_;
 };
 

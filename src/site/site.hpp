@@ -53,7 +53,8 @@ class Site {
   /// least number of jobs waiting to run" — queued jobs not yet running.
   [[nodiscard]] std::size_t load() const { return queue_.size(); }
 
-  /// Lifetime counters. Jobs running right now are compute().busy().
+  /// Lifetime counters. Jobs running right now are compute().busy(). A job
+  /// counts as completed here once, when it is finalized (output landed).
   [[nodiscard]] std::uint64_t jobs_dispatched_here() const { return dispatched_; }
   [[nodiscard]] std::uint64_t jobs_completed_here() const { return completed_; }
   void note_job_dispatched() { ++dispatched_; }

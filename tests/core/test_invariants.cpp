@@ -140,14 +140,22 @@ TEST_P(RunInvariants, QueuesAreEmptyAndNothingRunsAfterTheRun) {
 }
 
 TEST_P(RunInvariants, CompletedJobsPartitionAcrossSites) {
-  SimulationConfig cfg = config_for(GetParam());
-  Grid grid(cfg);
-  grid.run();
-  std::uint64_t total = 0;
-  for (data::SiteIndex s = 0; s < cfg.num_sites; ++s) {
-    total += grid.site_at(s).jobs_completed_here();
+  // Also with crashes and the output extension on: a job whose execution
+  // site crashes while its output travels home reruns, and counts once.
+  SimulationConfig plain = config_for(GetParam());
+  SimulationConfig crashes_with_output = plain;
+  crashes_with_output.output_fraction = 0.5;
+  crashes_with_output.fault_site_crash_rate_per_hour = 1.0;
+  crashes_with_output.fault_site_downtime_s = 600.0;
+  for (const SimulationConfig& cfg : {plain, crashes_with_output}) {
+    Grid grid(cfg);
+    grid.run();
+    std::uint64_t total = 0;
+    for (data::SiteIndex s = 0; s < cfg.num_sites; ++s) {
+      total += grid.site_at(s).jobs_completed_here();
+    }
+    EXPECT_EQ(total, cfg.total_jobs) << "output_fraction " << cfg.output_fraction;
   }
-  EXPECT_EQ(total, cfg.total_jobs);
 }
 
 TEST_P(RunInvariants, AuditPassesBeforeDuringAndAfterTheRun) {

@@ -41,15 +41,23 @@ TEST(Timeline, SamplesAtConfiguredPeriod) {
 }
 
 TEST(Timeline, CompletedJobsAreMonotone) {
-  Grid grid(timeline_config());
-  TimelineRecorder recorder(grid, 200.0);
-  grid.run();
-  recorder.sample_now();  // capture the final state explicitly
-  const auto& samples = recorder.samples();
-  for (std::size_t i = 1; i < samples.size(); ++i) {
-    EXPECT_GE(samples[i].jobs_completed, samples[i - 1].jobs_completed);
+  // Also with crashes and output return: a job counts when its output has
+  // landed, once, even if a crash made it rerun.
+  SimulationConfig crashes_with_output = timeline_config();
+  crashes_with_output.output_fraction = 0.5;
+  crashes_with_output.fault_site_crash_rate_per_hour = 1.0;
+  crashes_with_output.fault_site_downtime_s = 600.0;
+  for (const SimulationConfig& cfg : {timeline_config(), crashes_with_output}) {
+    Grid grid(cfg);
+    TimelineRecorder recorder(grid, 200.0);
+    grid.run();
+    recorder.sample_now();  // capture the final state explicitly
+    const auto& samples = recorder.samples();
+    for (std::size_t i = 1; i < samples.size(); ++i) {
+      EXPECT_GE(samples[i].jobs_completed, samples[i - 1].jobs_completed);
+    }
+    EXPECT_EQ(samples.back().jobs_completed, 120u) << "output_fraction " << cfg.output_fraction;
   }
-  EXPECT_EQ(samples.back().jobs_completed, 120u);
 }
 
 TEST(Timeline, ReplicaPopulationGrowsUnderActiveReplication) {

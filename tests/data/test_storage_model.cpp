@@ -4,7 +4,8 @@
 // semantics (ordered vector, linear scans). We drive both with long random
 // operation sequences across several seeds (TEST_P) and require identical
 // observable behaviour: presence, used bytes, eviction victims, pinning and
-// reference-count protection, transient placement.
+// reference-count protection, transient placement, hit/miss accounting and
+// the site-crash wipe.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "data/storage.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace chicsim::data {
@@ -80,6 +82,36 @@ class ReferenceStorage {
     }
   }
 
+  /// Presence test that counts a hit (and touches) or a miss.
+  bool lookup(DatasetId id) {
+    if (!contains(id)) {
+      ++misses_;
+      return false;
+    }
+    ++hits_;
+    touch(id);
+    return true;
+  }
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+
+  /// Site crash: drop every unpinned entry, zero the masters' refcounts,
+  /// and report the dropped durable (non-transient) ids in ascending order.
+  std::vector<DatasetId> invalidate_unpinned() {
+    std::vector<DatasetId> dropped;
+    for (auto it = entries_.begin(); it != entries_.end();) {
+      if (it->second.pinned) {
+        it->second.refcount = 0;
+        ++it;
+        continue;
+      }
+      if (!it->second.transient) dropped.push_back(it->first);
+      it = entries_.erase(it);
+    }
+    lru_.clear();
+    return dropped;
+  }
+
   void acquire(DatasetId id) { ++entries_.at(id).refcount; }
 
   void release(DatasetId id) {
@@ -108,6 +140,8 @@ class ReferenceStorage {
   }
 
   double capacity_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
   std::map<DatasetId, Entry> entries_;
   std::vector<DatasetId> lru_;  // front = LRU, back = MRU
 };
@@ -161,6 +195,64 @@ TEST_P(StorageModelCheck, RandomOperationSequencesMatchReference) {
     }
     ASSERT_NEAR(real.used_mb(), ref.used(), 1e-6) << "step " << step;
   }
+}
+
+// The same stream with lookups (hit/miss counts, and the touch on a hit as
+// seen by later eviction victims) and occasional site-crash wipes mixed in.
+TEST_P(StorageModelCheck, LookupsAndCrashWipesMatchReference) {
+  util::Rng rng(GetParam());
+  const double capacity = 1000.0;
+  StorageManager real(capacity);
+  ReferenceStorage ref(capacity);
+  const std::vector<DatasetId> masters{100, 101};
+  for (DatasetId m : masters) {
+    real.add_master(m, 150.0);
+    ref.add_master(m, 150.0);
+  }
+
+  const std::vector<DatasetId> universe{0, 1, 2, 3, 4, 5, 6, 7, 100, 101};
+  int wipes = 0;
+  for (int step = 0; step < 2000; ++step) {
+    DatasetId id = universe[rng.index(universe.size())];
+    double action = rng.uniform(0.0, 1.0);
+    if (action < 0.3 && id < 100) {
+      double size = rng.uniform(50.0, 400.0);
+      auto outcome = real.add_replica(id, size);
+      auto [added, transient, evicted] = ref.add_replica(id, size);
+      ASSERT_EQ(outcome.newly_added, added) << "step " << step;
+      ASSERT_EQ(outcome.transient, transient) << "step " << step;
+      ASSERT_EQ(outcome.evicted, evicted) << "step " << step;
+    } else if (action < 0.5) {
+      ASSERT_EQ(real.lookup(id), ref.lookup(id)) << "step " << step;
+    } else if (action < 0.7) {
+      if (real.contains(id)) {
+        real.acquire(id);
+        ref.acquire(id);
+      }
+    } else if (action < 0.85) {
+      if (real.contains(id) && ref.refcount(id) > 0) {
+        real.release(id);
+        ref.release(id);
+      }
+    } else if (action < 0.98) {
+      ASSERT_EQ(real.evict(id), ref.evict(id)) << "step " << step;
+    } else {
+      ++wipes;
+      ASSERT_EQ(real.invalidate_unpinned(), ref.invalidate_unpinned()) << "step " << step;
+      // The masters' refcounts are zero: one more release is a misuse.
+      for (DatasetId m : masters) {
+        ASSERT_EQ(ref.refcount(m), 0);
+        EXPECT_THROW(real.release(m), util::SimError) << "step " << step << " master " << m;
+      }
+    }
+    for (DatasetId d : universe) {
+      ASSERT_EQ(real.contains(d), ref.contains(d)) << "step " << step << " dataset " << d;
+    }
+    ASSERT_NEAR(real.used_mb(), ref.used(), 1e-6) << "step " << step;
+    ASSERT_EQ(real.stats().hits, ref.hits()) << "step " << step;
+    ASSERT_EQ(real.stats().misses, ref.misses()) << "step " << step;
+  }
+  EXPECT_GT(wipes, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StorageModelCheck,
