@@ -24,6 +24,7 @@ int bench_main(int argc, char** argv) {
 
   core::SimulationConfig base = bench::config_from_cli(cli);
   auto seeds = bench::seeds_from_cli(cli);
+  unsigned threads = bench::threads_from_cli(cli);
 
   struct Row {
     const char* name;
@@ -39,9 +40,9 @@ int bench_main(int argc, char** argv) {
     core::SimulationConfig cfg = base;
     cfg.share_policy = row.policy;
     core::ExperimentRunner runner(cfg, seeds);
-    row.local = runner.run_cell(EsAlgorithm::JobLocal, DsAlgorithm::DataDoNothing)
+    row.local = runner.run_cell(EsAlgorithm::JobLocal, DsAlgorithm::DataDoNothing, threads)
                     .avg_response_time_s;
-    row.dp = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded)
+    row.dp = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded, threads)
                  .avg_response_time_s;
   }
 

@@ -23,6 +23,7 @@ int bench_main(int argc, char** argv) {
 
   core::SimulationConfig base = bench::config_from_cli(cli);
   auto seeds = bench::seeds_from_cli(cli);
+  unsigned threads = bench::threads_from_cli(cli);
 
   std::printf("=== Ablation: processor heterogeneity (%zu jobs, %zu seeds) ===\n\n",
               base.total_jobs, seeds.size());
@@ -30,17 +31,17 @@ int bench_main(int argc, char** argv) {
                             "JobBestEstimate+Repl (s)"});
   std::vector<double> dp;
   std::vector<double> best;
-  for (const auto& piece : util::split(cli.get("sweep"), ',')) {
-    double spread = util::parse_double(piece).value();
+  for (double spread : bench::doubles_from_cli(cli, "sweep")) {
     core::SimulationConfig cfg = base;
     cfg.compute_speed_spread = spread;
     core::ExperimentRunner runner(cfg, seeds);
-    double r_dp = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded)
-                      .avg_response_time_s;
-    double r_local = runner.run_cell(EsAlgorithm::JobLocal, DsAlgorithm::DataLeastLoaded)
+    double r_dp =
+        runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded, threads)
+            .avg_response_time_s;
+    double r_local = runner.run_cell(EsAlgorithm::JobLocal, DsAlgorithm::DataLeastLoaded, threads)
                          .avg_response_time_s;
     double r_best =
-        runner.run_cell(EsAlgorithm::JobBestEstimate, DsAlgorithm::DataLeastLoaded)
+        runner.run_cell(EsAlgorithm::JobBestEstimate, DsAlgorithm::DataLeastLoaded, threads)
             .avg_response_time_s;
     table.add_row({util::format_fixed(spread, 1), util::format_fixed(r_dp, 1),
                    util::format_fixed(r_local, 1), util::format_fixed(r_best, 1)});

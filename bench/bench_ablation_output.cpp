@@ -25,11 +25,9 @@ int bench_main(int argc, char** argv) {
 
   core::SimulationConfig base = bench::config_from_cli(cli);
   auto seeds = bench::seeds_from_cli(cli);
+  unsigned threads = bench::threads_from_cli(cli);
 
-  std::vector<double> sweep;
-  for (const auto& piece : util::split(cli.get("sweep"), ',')) {
-    sweep.push_back(util::parse_double(piece).value());
-  }
+  std::vector<double> sweep = bench::doubles_from_cli(cli, "sweep");
 
   std::printf("=== Ablation: output costs (%zu jobs, %zu seeds) ===\n\n", base.total_jobs,
               seeds.size());
@@ -41,8 +39,8 @@ int bench_main(int argc, char** argv) {
     core::SimulationConfig cfg = base;
     cfg.output_fraction = fraction;
     core::ExperimentRunner runner(cfg, seeds);
-    auto dp = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded);
-    auto local = runner.run_cell(EsAlgorithm::JobLocal, DsAlgorithm::DataLeastLoaded);
+    auto dp = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded, threads);
+    auto local = runner.run_cell(EsAlgorithm::JobLocal, DsAlgorithm::DataLeastLoaded, threads);
     double output_mb = 0.0;
     for (const auto& m : dp.per_seed) output_mb += m.avg_output_per_job_mb;
     output_mb /= static_cast<double>(dp.per_seed.size());

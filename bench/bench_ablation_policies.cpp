@@ -18,9 +18,9 @@ namespace {
 using namespace chicsim;
 
 double run_pair(const core::SimulationConfig& cfg, const std::vector<std::uint64_t>& seeds,
-                core::EsAlgorithm es, core::DsAlgorithm ds) {
+                unsigned threads, core::EsAlgorithm es, core::DsAlgorithm ds) {
   core::ExperimentRunner runner(cfg, seeds);
-  return runner.run_cell(es, ds).avg_response_time_s;
+  return runner.run_cell(es, ds, threads).avg_response_time_s;
 }
 
 }  // namespace
@@ -35,6 +35,7 @@ int bench_main(int argc, char** argv) {
 
   core::SimulationConfig base = bench::config_from_cli(cli);
   auto seeds = bench::seeds_from_cli(cli);
+  unsigned threads = bench::threads_from_cli(cli);
   bench::ShapeChecks checks;
 
   std::printf("=== Ablation: replica selection (ES=JobLocal, DS=DataDoNothing) ===\n\n");
@@ -48,9 +49,10 @@ int bench_main(int argc, char** argv) {
           core::ReplicaSelection::LeastLoadedSource}) {
       core::SimulationConfig cfg = base;
       cfg.replica_selection = rs;
-      double local = run_pair(cfg, seeds, EsAlgorithm::JobLocal, DsAlgorithm::DataDoNothing);
+      double local =
+          run_pair(cfg, seeds, threads, EsAlgorithm::JobLocal, DsAlgorithm::DataDoNothing);
       double dp =
-          run_pair(cfg, seeds, EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded);
+          run_pair(cfg, seeds, threads, EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded);
       table.add_row({core::to_string(rs), util::format_fixed(local, 1),
                      util::format_fixed(dp, 1)});
       winner_worst = std::max(winner_worst, dp);
@@ -71,7 +73,8 @@ int bench_main(int argc, char** argv) {
       core::SimulationConfig cfg = base;
       cfg.ds_neighbor_scope = scope;
       core::ExperimentRunner runner(cfg, seeds);
-      auto cell = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded);
+      auto cell =
+          runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded, threads);
       table.add_row({core::to_string(scope),
                      util::format_fixed(cell.avg_response_time_s, 1),
                      util::format_fixed(cell.avg_replication_per_job_mb, 1)});
@@ -94,7 +97,7 @@ int bench_main(int argc, char** argv) {
       core::SimulationConfig cfg = base;
       cfg.ls = ls;
       core::ExperimentRunner runner(cfg, seeds);
-      auto cell = runner.run_cell(EsAlgorithm::JobLeastLoaded, DsAlgorithm::DataDoNothing);
+      auto cell = runner.run_cell(EsAlgorithm::JobLeastLoaded, DsAlgorithm::DataDoNothing, threads);
       table.add_row({core::to_string(ls), util::format_fixed(cell.avg_response_time_s, 1),
                      util::format_fixed(100.0 * cell.idle_fraction, 1)});
       if (ls == core::LsAlgorithm::Fifo) fifo_resp = cell.avg_response_time_s;

@@ -24,11 +24,9 @@ int bench_main(int argc, char** argv) {
 
   core::SimulationConfig base = bench::config_from_cli(cli);
   auto seeds = bench::seeds_from_cli(cli);
+  unsigned threads = bench::threads_from_cli(cli);
 
-  std::vector<double> sweep;
-  for (const auto& piece : util::split(cli.get("sweep"), ',')) {
-    sweep.push_back(util::parse_double(piece).value());
-  }
+  std::vector<double> sweep = bench::doubles_from_cli(cli, "sweep");
 
   std::printf("=== Ablation: popularity skew (%zu jobs, %zu seeds) ===\n\n", base.total_jobs,
               seeds.size());
@@ -39,10 +37,10 @@ int bench_main(int argc, char** argv) {
     core::SimulationConfig cfg = base;
     cfg.geometric_p = p;
     core::ExperimentRunner runner(cfg, seeds);
-    double none = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataDoNothing)
+    double none = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataDoNothing, threads)
                       .avg_response_time_s;
     double repl =
-        runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded)
+        runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded, threads)
             .avg_response_time_s;
     table.add_row({util::format_fixed(p, 2), util::format_fixed(none, 1),
                    util::format_fixed(repl, 1), util::format_fixed(none / repl, 2)});

@@ -26,11 +26,9 @@ int bench_main(int argc, char** argv) {
 
   core::SimulationConfig base = bench::config_from_cli(cli);
   auto seeds = bench::seeds_from_cli(cli);
+  unsigned threads = bench::threads_from_cli(cli);
 
-  std::vector<double> sweep;
-  for (const auto& piece : util::split(cli.get("sweep"), ',')) {
-    sweep.push_back(util::parse_double(piece).value());
-  }
+  std::vector<double> sweep = bench::doubles_from_cli(cli, "sweep");
 
   std::printf("=== Ablation: load information staleness (%zu jobs, %zu seeds) ===\n\n",
               base.total_jobs, seeds.size());
@@ -45,11 +43,11 @@ int bench_main(int argc, char** argv) {
     core::SimulationConfig cfg = base;
     cfg.info_staleness_s = staleness;
     core::ExperimentRunner runner(cfg, seeds);
-    double ll = runner.run_cell(EsAlgorithm::JobLeastLoaded, DsAlgorithm::DataDoNothing)
+    double ll = runner.run_cell(EsAlgorithm::JobLeastLoaded, DsAlgorithm::DataDoNothing, threads)
                     .avg_response_time_s;
-    double local = runner.run_cell(EsAlgorithm::JobLocal, DsAlgorithm::DataDoNothing)
+    double local = runner.run_cell(EsAlgorithm::JobLocal, DsAlgorithm::DataDoNothing, threads)
                        .avg_response_time_s;
-    double dp = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded)
+    double dp = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded, threads)
                     .avg_response_time_s;
     table.add_row({util::format_fixed(staleness, 0), util::format_fixed(ll, 1),
                    util::format_fixed(local, 1), util::format_fixed(dp, 1)});

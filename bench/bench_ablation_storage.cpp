@@ -25,11 +25,9 @@ int bench_main(int argc, char** argv) {
 
   core::SimulationConfig base = bench::config_from_cli(cli);
   auto seeds = bench::seeds_from_cli(cli);
+  unsigned threads = bench::threads_from_cli(cli);
 
-  std::vector<double> sweep;
-  for (const auto& piece : util::split(cli.get("sweep"), ',')) {
-    sweep.push_back(util::parse_double(piece).value());
-  }
+  std::vector<double> sweep = bench::doubles_from_cli(cli, "sweep");
 
   std::printf("=== Ablation: per-site storage capacity (%zu jobs, %zu seeds) ===\n\n",
               base.total_jobs, seeds.size());
@@ -41,8 +39,8 @@ int bench_main(int argc, char** argv) {
     core::SimulationConfig cfg = base;
     cfg.storage_capacity_mb = capacity;
     core::ExperimentRunner runner(cfg, seeds);
-    auto local = runner.run_cell(EsAlgorithm::JobLocal, DsAlgorithm::DataDoNothing);
-    auto dp = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded);
+    auto local = runner.run_cell(EsAlgorithm::JobLocal, DsAlgorithm::DataDoNothing, threads);
+    auto dp = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded, threads);
     double hits = 0.0;
     double misses = 0.0;
     double evict = 0.0;

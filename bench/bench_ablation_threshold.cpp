@@ -23,11 +23,9 @@ int bench_main(int argc, char** argv) {
 
   core::SimulationConfig base = bench::config_from_cli(cli);
   auto seeds = bench::seeds_from_cli(cli);
+  unsigned threads = bench::threads_from_cli(cli);
 
-  std::vector<double> sweep;
-  for (const auto& piece : util::split(cli.get("sweep"), ',')) {
-    sweep.push_back(util::parse_double(piece).value());
-  }
+  std::vector<double> sweep = bench::doubles_from_cli(cli, "sweep");
 
   std::printf("=== Ablation: replication threshold (ES=JobDataPresent, DS=DataLeastLoaded, "
               "%zu jobs, %zu seeds) ===\n\n",
@@ -40,7 +38,7 @@ int bench_main(int argc, char** argv) {
     core::SimulationConfig cfg = base;
     cfg.replication_threshold = threshold;
     core::ExperimentRunner runner(cfg, seeds);
-    auto cell = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded);
+    auto cell = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded, threads);
     table.add_row({util::format_fixed(threshold, 0),
                    util::format_fixed(cell.avg_response_time_s, 1),
                    util::format_fixed(cell.replications, 0),

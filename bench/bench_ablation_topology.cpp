@@ -27,6 +27,7 @@ int bench_main(int argc, char** argv) {
 
   core::SimulationConfig base = bench::config_from_cli(cli);
   auto seeds = bench::seeds_from_cli(cli);
+  unsigned threads = bench::threads_from_cli(cli);
   bench::ShapeChecks checks;
 
   std::printf("=== Ablation: network shape (%zu jobs, %zu seeds) ===\n\n", base.total_jobs,
@@ -39,10 +40,11 @@ int bench_main(int argc, char** argv) {
       core::SimulationConfig cfg = base;
       cfg.topology = kind;
       core::ExperimentRunner runner(cfg, seeds);
-      double local = runner.run_cell(EsAlgorithm::JobLocal, DsAlgorithm::DataDoNothing)
+      double local = runner.run_cell(EsAlgorithm::JobLocal, DsAlgorithm::DataDoNothing, threads)
                          .avg_response_time_s;
-      double dp = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded)
-                      .avg_response_time_s;
+      double dp =
+          runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded, threads)
+              .avg_response_time_s;
       table.add_row({core::to_string(kind), util::format_fixed(local, 1),
                      util::format_fixed(dp, 1)});
       (kind == core::TopologyKind::Star ? star_dp : hier_dp) = dp;
@@ -63,10 +65,11 @@ int bench_main(int argc, char** argv) {
       core::SimulationConfig cfg = base;
       cfg.user_focus = focus;
       core::ExperimentRunner runner(cfg, seeds);
-      double local = runner.run_cell(EsAlgorithm::JobLocal, DsAlgorithm::DataDoNothing)
+      double local = runner.run_cell(EsAlgorithm::JobLocal, DsAlgorithm::DataDoNothing, threads)
                          .avg_response_time_s;
-      double dp = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded)
-                      .avg_response_time_s;
+      double dp =
+          runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded, threads)
+              .avg_response_time_s;
       table.add_row({util::format_fixed(focus, 1), util::format_fixed(local, 1),
                      util::format_fixed(dp, 1), util::format_fixed(local / dp, 2)});
       advantage.push_back(local / dp);

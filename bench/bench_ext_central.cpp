@@ -28,9 +28,10 @@ int bench_main(int argc, char** argv) {
   base.es = EsAlgorithm::JobDataPresent;
   base.ds = DsAlgorithm::DataLeastLoaded;
   auto seeds = bench::seeds_from_cli(cli);
+  unsigned threads = bench::threads_from_cli(cli);
 
   core::ExperimentRunner dist_runner(base, seeds);
-  auto dist = dist_runner.run_cell(base.es, base.ds);
+  auto dist = dist_runner.run_cell(base.es, base.ds, threads);
 
   std::printf("=== Extension: ES deployment (%zu jobs, %zu seeds, "
               "JobDataPresent+DataLeastLoaded) ===\n\n",
@@ -41,13 +42,12 @@ int bench_main(int argc, char** argv) {
                  util::format_fixed(dist.avg_queue_wait_s * 0.0, 1), "1.00"});
 
   std::vector<double> slowdowns;
-  for (const auto& piece : util::split(cli.get("overheads"), ',')) {
-    double overhead = util::parse_double(piece).value();
+  for (double overhead : bench::doubles_from_cli(cli, "overheads")) {
     core::SimulationConfig cfg = base;
     cfg.es_mapping = core::EsMapping::Centralized;
     cfg.central_decision_overhead_s = overhead;
     core::ExperimentRunner runner(cfg, seeds);
-    auto cell = runner.run_cell(cfg.es, cfg.ds);
+    auto cell = runner.run_cell(cfg.es, cfg.ds, threads);
     double placement = 0.0;
     for (const auto& m : cell.per_seed) placement += m.avg_placement_wait_s;
     placement /= static_cast<double>(cell.per_seed.size());

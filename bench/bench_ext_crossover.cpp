@@ -28,15 +28,10 @@ int bench_main(int argc, char** argv) {
 
   core::SimulationConfig base = bench::config_from_cli(cli);
   auto seeds = bench::seeds_from_cli(cli);
+  unsigned threads = bench::threads_from_cli(cli);
 
-  std::vector<double> bandwidths;
-  for (const auto& p : util::split(cli.get("bandwidths"), ',')) {
-    bandwidths.push_back(util::parse_double(p).value());
-  }
-  std::vector<double> sizes;
-  for (const auto& p : util::split(cli.get("sizes"), ',')) {
-    sizes.push_back(util::parse_double(p).value());
-  }
+  std::vector<double> bandwidths = bench::doubles_from_cli(cli, "bandwidths");
+  std::vector<double> sizes = bench::doubles_from_cli(cli, "sizes");
 
   std::printf("=== Extension: crossover frontier (%zu jobs, %zu seeds) ===\n\n",
               base.total_jobs, seeds.size());
@@ -59,9 +54,10 @@ int bench_main(int argc, char** argv) {
       cfg.max_dataset_mb = mean_size * 1.6;
       cfg.storage_capacity_mb = std::max(base.storage_capacity_mb, cfg.max_dataset_mb * 25);
       core::ExperimentRunner runner(cfg, seeds);
-      double dp = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded)
-                      .avg_response_time_s;
-      double local = runner.run_cell(EsAlgorithm::JobLocal, DsAlgorithm::DataDoNothing)
+      double dp =
+          runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded, threads)
+              .avg_response_time_s;
+      double local = runner.run_cell(EsAlgorithm::JobLocal, DsAlgorithm::DataDoNothing, threads)
                          .avg_response_time_s;
       double ratio = local / dp;
       row.push_back(util::format_fixed(ratio, 2));

@@ -25,6 +25,7 @@ int bench_main(int argc, char** argv) {
 
   core::SimulationConfig base = bench::config_from_cli(cli);
   auto seeds = bench::seeds_from_cli(cli);
+  unsigned threads = bench::threads_from_cli(cli);
   auto max_inputs = static_cast<std::size_t>(cli.get_int("max-inputs"));
 
   std::printf("=== Extension: multiple input files per job (%zu jobs, %zu seeds) ===\n\n",
@@ -36,8 +37,8 @@ int bench_main(int argc, char** argv) {
     core::SimulationConfig cfg = base;
     cfg.inputs_per_job = k;
     core::ExperimentRunner runner(cfg, seeds);
-    auto dp = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded);
-    auto ll = runner.run_cell(EsAlgorithm::JobLeastLoaded, DsAlgorithm::DataLeastLoaded);
+    auto dp = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded, threads);
+    auto ll = runner.run_cell(EsAlgorithm::JobLeastLoaded, DsAlgorithm::DataLeastLoaded, threads);
     table.add_row({std::to_string(k), util::format_fixed(dp.avg_response_time_s, 1),
                    util::format_fixed(ll.avg_response_time_s, 1),
                    util::format_fixed(ll.avg_response_time_s / dp.avg_response_time_s, 2),

@@ -25,6 +25,7 @@ int bench_main(int argc, char** argv) {
   core::SimulationConfig base = bench::config_from_cli(cli);
   base.submission_mode = core::SubmissionMode::OpenLoop;
   auto seeds = bench::seeds_from_cli(cli);
+  unsigned threads = bench::threads_from_cli(cli);
 
   std::printf("=== Extension: open-loop offered load (%zu jobs, %zu seeds) ===\n\n",
               base.total_jobs, seeds.size());
@@ -34,14 +35,13 @@ int bench_main(int argc, char** argv) {
                             "JobLocal+None (s)"});
   std::vector<double> dp_resp;
   std::vector<double> local_resp;
-  for (const auto& piece : util::split(cli.get("intervals"), ',')) {
-    double interval = util::parse_double(piece).value();
+  for (double interval : bench::doubles_from_cli(cli, "intervals")) {
     core::SimulationConfig cfg = base;
     cfg.arrival_interval_s = interval;
     core::ExperimentRunner runner(cfg, seeds);
-    double dp = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded)
+    double dp = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded, threads)
                     .avg_response_time_s;
-    double local = runner.run_cell(EsAlgorithm::JobLocal, DsAlgorithm::DataDoNothing)
+    double local = runner.run_cell(EsAlgorithm::JobLocal, DsAlgorithm::DataDoNothing, threads)
                        .avg_response_time_s;
     table.add_row({util::format_fixed(interval, 0), util::format_fixed(dp, 1),
                    util::format_fixed(local, 1)});

@@ -24,14 +24,14 @@ int bench_main(int argc, char** argv) {
 
   core::SimulationConfig base = bench::config_from_cli(cli);
   auto seeds = bench::seeds_from_cli(cli);
+  unsigned threads = bench::threads_from_cli(cli);
 
   std::printf("=== Extension: grid-size scaling (%zu seeds) ===\n\n", seeds.size());
   util::TablePrinter table({"scale", "sites", "users", "jobs", "DP+Repl (s)",
                             "DP+None (s)", "hotspot penalty"});
   std::vector<double> winner;
   std::vector<double> penalty;
-  for (const auto& piece : util::split(cli.get("scales"), ',')) {
-    double k = util::parse_double(piece).value();
+  for (double k : bench::doubles_from_cli(cli, "scales")) {
     core::SimulationConfig cfg = base;
     cfg.num_sites = static_cast<std::size_t>(30 * k);
     cfg.num_regions = std::max<std::size_t>(1, static_cast<std::size_t>(6 * k));
@@ -39,9 +39,10 @@ int bench_main(int argc, char** argv) {
     cfg.num_datasets = static_cast<std::size_t>(200 * k);
     cfg.total_jobs = cfg.num_users * base.total_jobs / 120;  // jobs/user constant
     core::ExperimentRunner runner(cfg, seeds);
-    double repl = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded)
-                      .avg_response_time_s;
-    double none = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataDoNothing)
+    double repl =
+        runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataLeastLoaded, threads)
+            .avg_response_time_s;
+    double none = runner.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataDoNothing, threads)
                       .avg_response_time_s;
     table.add_row({util::format_fixed(k, 1), std::to_string(cfg.num_sites),
                    std::to_string(cfg.num_users), std::to_string(cfg.total_jobs),

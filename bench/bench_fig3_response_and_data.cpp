@@ -15,6 +15,7 @@
 #include <cstdio>
 
 #include "common.hpp"
+#include "core/report.hpp"
 
 int bench_main(int argc, char** argv) {
   using namespace chicsim;
@@ -23,7 +24,7 @@ int bench_main(int argc, char** argv) {
   util::CliParser cli("bench_fig3_response_and_data",
                       "reproduce Figure 3a (response time) and 3b (data per job)");
   bench::add_standard_options(cli);
-  bench::add_observability_options(cli);
+  core::add_observed_run_options(cli);
   if (!cli.parse(argc, argv)) return 0;
 
   core::SimulationConfig cfg = bench::config_from_cli(cli);

@@ -28,6 +28,7 @@ int bench_main(int argc, char** argv) {
   double slow_bw = cfg.link_bandwidth_mbps;
   double fast_bw = cli.get_double("fast-bandwidth");
   auto seeds = bench::seeds_from_cli(cli);
+  unsigned threads = bench::threads_from_cli(cli);
 
   auto run_scenario = [&](double bw) {
     core::SimulationConfig scenario = cfg;
@@ -35,7 +36,7 @@ int bench_main(int argc, char** argv) {
     core::ExperimentRunner runner(scenario, seeds);
     std::vector<core::CellResult> cells;
     for (EsAlgorithm es : core::paper_es_algorithms()) {
-      cells.push_back(runner.run_cell(es, DsAlgorithm::DataLeastLoaded));
+      cells.push_back(runner.run_cell(es, DsAlgorithm::DataLeastLoaded, threads));
     }
     return cells;
   };
@@ -57,7 +58,7 @@ int bench_main(int argc, char** argv) {
   std::fputs(table.render().c_str(), stdout);
 
   {
-    util::GroupedBarChart chart("Figure 5: response times for different bandwidth scenarios",
+    bench::GroupedBarChart chart("Figure 5: response times for different bandwidth scenarios",
                                 "response time (s)");
     std::vector<std::string> groups;
     for (const auto& cell : slow) groups.emplace_back(core::to_string(cell.es));

@@ -52,10 +52,7 @@ int bench_main(int argc, char** argv) {
   const auto& es_algos = core::paper_es_algorithms();
   const auto& ds_algos = core::paper_ds_algorithms();
 
-  std::vector<double> rates;
-  for (const auto& piece : util::split(cli.get("rates"), ',')) {
-    rates.push_back(util::parse_double(piece).value());
-  }
+  std::vector<double> rates = bench::doubles_from_cli(cli, "rates");
 
   std::printf("=== Robustness: fault rate x scheduling matrix (%zu jobs, %zu seeds) ===\n",
               base.total_jobs, seeds.size());

@@ -6,11 +6,6 @@
 
 #include "core/grid.hpp"
 #include "core/report.hpp"
-#include "core/site_metrics.hpp"
-#include "core/spans.hpp"
-#include "core/timeline.hpp"
-#include "core/trace_export.hpp"
-#include "sim/profiler.hpp"
 #include "util/error.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
@@ -27,86 +22,31 @@ void add_standard_options(util::CliParser& cli) {
   cli.add_option("seeds", "101,202,303,404,505", "comma-separated seed list (paper: 3 seeds)");
   cli.add_option("staleness", "120", "load information staleness in seconds");
   cli.add_option("threads", "1",
-                 "worker threads for the run matrix (1 = serial, 0 = all hardware threads)");
+                 "worker threads for the simulation runs (1 = serial, 0 = all hardware threads)");
   cli.add_option("csv", "", "write raw cell metrics to this CSV file");
   cli.add_option("svg-prefix", "", "write the figure(s) as <prefix><name>.svg");
 }
 
-void add_observability_options(util::CliParser& cli) {
-  cli.add_option("trace-out", "",
-                 "write a Chrome trace (Perfetto-loadable JSON) of one observed cell");
-  cli.add_option("site-metrics-out", "",
-                 "write per-site/per-link metrics of one observed cell (.json or CSV)");
-  cli.add_option("spans-csv", "", "write the per-job span table of one observed cell");
-  cli.add_flag("profile", "print a wall-clock event-loop profile of the observed cell");
-}
-
-namespace {
-std::ofstream open_output(const std::string& path, const char* flag) {
-  std::ofstream out(path);
-  if (!out) throw util::SimError(std::string("cannot write ") + flag + " file: " + path);
-  return out;
-}
-}  // namespace
-
 void maybe_run_observed_cell(const util::CliParser& cli, core::SimulationConfig config,
                              core::EsAlgorithm es, core::DsAlgorithm ds) {
-  std::string trace_out = cli.get("trace-out");
-  std::string metrics_out = cli.get("site-metrics-out");
-  std::string spans_csv = cli.get("spans-csv");
-  bool profile = cli.get_flag("profile");
-  if (trace_out.empty() && metrics_out.empty() && spans_csv.empty() && !profile) return;
-
+  if (!core::observed_run_requested(cli)) return;
   config.es = es;
   config.ds = ds;
   config.seed = seeds_from_cli(cli).front();
   std::printf("\nobserved cell: es=%s ds=%s seed=%llu\n", core::to_string(es),
               core::to_string(ds), static_cast<unsigned long long>(config.seed));
-
   core::Grid grid(config);
-  core::SpanBuilder spans;
-  core::SiteMetricsObserver site_metrics(grid.topology(), &grid.routing());
-  grid.add_observer(&spans);
-  grid.add_observer(&site_metrics);
-  core::TimelineRecorder timeline(grid, 60.0);
-  sim::EngineProfiler profiler;
-  if (profile) grid.engine().set_profiler(&profiler);
-  grid.run();
-
-  if (!trace_out.empty()) {
-    auto out = open_output(trace_out, "--trace-out");
-    core::write_chrome_trace(out, spans, grid.topology(), grid.site_count(),
-                             &grid.routing(), timeline.samples());
-    std::printf("chrome trace written to %s (load in ui.perfetto.dev)\n",
-                trace_out.c_str());
-  }
-  if (!metrics_out.empty()) {
-    auto out = open_output(metrics_out, "--site-metrics-out");
-    if (metrics_out.ends_with(".json")) {
-      site_metrics.registry().write_json(out);
-    } else {
-      site_metrics.registry().write_csv(out);
-    }
-    std::printf("site/link metrics written to %s\n", metrics_out.c_str());
-  }
-  if (!spans_csv.empty()) {
-    auto out = open_output(spans_csv, "--spans-csv");
-    spans.write_csv(out);
-    std::printf("per-job spans written to %s\n", spans_csv.c_str());
-  }
-  if (profile) {
-    std::printf("\nwall-clock event-loop profile (observed cell):\n%s",
-                profiler.render_table().c_str());
-  }
+  // The timeline samples every 60 s, with no sample after the run.
+  core::run_observed(cli, grid, 60.0, /*final_sample=*/false);
 }
 
-util::GroupedBarChart make_matrix_chart(
+GroupedBarChart make_matrix_chart(
     const std::vector<core::CellResult>& cells,
     const std::vector<core::EsAlgorithm>& es_algorithms,
     const std::vector<core::DsAlgorithm>& ds_algorithms,
     const std::function<double(const core::CellResult&)>& metric, const std::string& title,
     const std::string& y_label) {
-  util::GroupedBarChart chart(title, y_label);
+  GroupedBarChart chart(title, y_label);
   std::vector<std::string> groups;
   for (auto es : es_algorithms) groups.emplace_back(core::to_string(es));
   chart.set_groups(std::move(groups));
@@ -119,7 +59,7 @@ util::GroupedBarChart make_matrix_chart(
 }
 
 void maybe_write_svg(const util::CliParser& cli, const std::string& suffix,
-                     const util::GroupedBarChart& chart) {
+                     const GroupedBarChart& chart) {
   std::string prefix = cli.get("svg-prefix");
   if (prefix.empty()) return;
   std::string path = prefix + suffix + ".svg";
@@ -159,13 +99,27 @@ std::vector<std::uint64_t> seeds_from_cli(const util::CliParser& cli) {
   return seeds;
 }
 
+std::vector<double> doubles_from_cli(const util::CliParser& cli, const std::string& name) {
+  std::vector<double> values;
+  for (const auto& piece : util::split(cli.get(name), ',')) {
+    auto v = util::parse_double(piece);
+    if (!v) throw util::SimError("bad --" + name + " entry: '" + piece + "'");
+    values.push_back(*v);
+  }
+  return values;
+}
+
+unsigned threads_from_cli(const util::CliParser& cli) {
+  long long threads = cli.get_int("threads");
+  if (threads < 0) throw util::SimError("--threads must be >= 0");
+  return static_cast<unsigned>(threads);
+}
+
 std::vector<core::CellResult> run_matrix_from_cli(
     const util::CliParser& cli, const core::ExperimentRunner& runner,
     const std::vector<core::EsAlgorithm>& es_algorithms,
     const std::vector<core::DsAlgorithm>& ds_algorithms) {
-  long threads = cli.get_int("threads");
-  if (threads < 0) throw util::SimError("--threads must be >= 0");
-  return runner.run_matrix(es_algorithms, ds_algorithms, static_cast<unsigned>(threads));
+  return runner.run_matrix(es_algorithms, ds_algorithms, threads_from_cli(cli));
 }
 
 std::string render_matrix(const std::vector<core::CellResult>& cells,

@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "svg_chart.hpp"
 #include "util/cli.hpp"
-#include "util/svg_chart.hpp"
 
 /// Each bench binary's body. common.cpp holds the one main(): it runs
 /// bench_main and turns any std::exception (an unknown option, a malformed
@@ -27,16 +27,11 @@ namespace chicsim::bench {
 /// job count (scale-down knob for quick runs).
 void add_standard_options(util::CliParser& cli);
 
-/// Observability options: --trace-out (Chrome trace JSON for Perfetto),
-/// --site-metrics-out (per-site/per-link metric registry, CSV or JSON by
-/// extension), --spans-csv (per-job span table), --profile (flag:
-/// wall-clock event-loop profile printed after the run).
-void add_observability_options(util::CliParser& cli);
-
-/// If any observability flag was given, run ONE representative cell
-/// (es, ds, the first seed) with the observers attached and write the
-/// requested outputs. The matrix runs stay unobserved, so figures are
-/// unaffected; this re-run costs one extra simulation only when asked for.
+/// If any observed-run output (core::add_observed_run_options) was asked
+/// for, run ONE representative cell (es, ds, the first seed) with the
+/// observers attached and write the requested outputs. The matrix runs
+/// stay unobserved, so figures are unaffected; this re-run costs one extra
+/// simulation only when asked for.
 void maybe_run_observed_cell(const util::CliParser& cli, core::SimulationConfig config,
                              core::EsAlgorithm es, core::DsAlgorithm ds);
 
@@ -46,9 +41,18 @@ void maybe_run_observed_cell(const util::CliParser& cli, core::SimulationConfig 
 /// Seed list from the --seeds=a,b,c option.
 [[nodiscard]] std::vector<std::uint64_t> seeds_from_cli(const util::CliParser& cli);
 
-/// Run the (es, ds) matrix honouring --threads: 1 runs serially (the
-/// default), 0 uses all hardware threads, N uses N workers. Results are
-/// bit-identical across thread counts (see ExperimentRunner).
+/// Numbers from a comma-separated list option such as --sweep=2,5,10. A
+/// malformed or empty entry throws, naming the option and the entry.
+[[nodiscard]] std::vector<double> doubles_from_cli(const util::CliParser& cli,
+                                                   const std::string& name);
+
+/// Worker threads from --threads, for every run_cell and run_matrix call:
+/// 1 runs serially (the default), 0 uses all hardware threads, N uses N
+/// workers; negative throws. Results are bit-identical across thread counts
+/// (see ExperimentRunner).
+[[nodiscard]] unsigned threads_from_cli(const util::CliParser& cli);
+
+/// Run the (es, ds) matrix on threads_from_cli(cli) workers.
 [[nodiscard]] std::vector<core::CellResult> run_matrix_from_cli(
     const util::CliParser& cli, const core::ExperimentRunner& runner,
     const std::vector<core::EsAlgorithm>& es_algorithms,
@@ -74,7 +78,7 @@ void maybe_write_matrix_csv(const util::CliParser& cli,
 
 /// Build a figure-style grouped bar chart (one group per ES, one series per
 /// DS) from a run matrix.
-[[nodiscard]] util::GroupedBarChart make_matrix_chart(
+[[nodiscard]] GroupedBarChart make_matrix_chart(
     const std::vector<core::CellResult>& cells,
     const std::vector<core::EsAlgorithm>& es_algorithms,
     const std::vector<core::DsAlgorithm>& ds_algorithms,
@@ -83,7 +87,7 @@ void maybe_write_matrix_csv(const util::CliParser& cli,
 
 /// If --svg-prefix was given, write `chart` to <prefix><suffix>.svg.
 void maybe_write_svg(const util::CliParser& cli, const std::string& suffix,
-                     const util::GroupedBarChart& chart);
+                     const GroupedBarChart& chart);
 
 /// Shape-check collector: prints PASS/FAIL per claim and remembers failures.
 class ShapeChecks {

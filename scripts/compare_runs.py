@@ -9,9 +9,12 @@ script runs each side's `examples/simulate --sites` on every
 `examples/scenarios/*.cfg` of CHANGE_TREE and on a fixed set of fault-heavy
 and network `--set` runs, with every export switched on (metrics CSV, timeline CSV,
 Chrome trace, site metrics, spans CSV), plus `examples/postmortem` with its
-event-trace CSV. Both sides read the same scenario files and write into
-their own scratch directory under the same file names, so stdout and every
-export can be compared byte for byte.
+event-trace CSV and one observed cell of `bench/bench_fig3_response_and_data`
+(`--jobs=600 --seeds=101` with its Chrome trace, site metrics and spans CSV;
+at that scale some paper shape checks fail by design, so exit code 1 is
+accepted when both sides agree). Both sides read the same scenario files
+and write into their own scratch directory under the same file names, so
+stdout and every export can be compared byte for byte.
 
 It prints one line per run and exits 1 when any stdout, exit code or export
 differs, 0 when all match. Run it against the parent commit (for example a
@@ -67,18 +70,35 @@ SIMULATE_EXPORTS = [
 ]
 
 
+BENCH_EXPORTS = [
+    ("--trace-out", "trace.json"),
+    ("--site-metrics-out", "site_metrics.json"),
+    ("--spans-csv", "spans.csv"),
+]
+
+SIMULATE = "examples/simulate"
+POSTMORTEM = "examples/postmortem"
+FIG3 = "bench/bench_fig3_response_and_data"
+
+
+def export_args(exports):
+    return [f"{flag}={name}" for flag, name in exports], [name for _, name in exports]
+
+
 def runs(change_tree):
-    """(name, binary, args, export files) for every comparison run."""
-    exports = [f"{flag}={name}" for flag, name in SIMULATE_EXPORTS]
-    files = [name for _, name in SIMULATE_EXPORTS]
+    """(name, binary, args, export files, accepted exit codes) for every run."""
+    exports, files = export_args(SIMULATE_EXPORTS)
     out = []
     for cfg in sorted(glob.glob(os.path.join(change_tree, "examples", "scenarios", "*.cfg"))):
         name = os.path.splitext(os.path.basename(cfg))[0]
-        out.append((name, "simulate", [f"--config={os.path.abspath(cfg)}", "--sites"] + exports,
-                    files))
+        out.append((name, SIMULATE, [f"--config={os.path.abspath(cfg)}", "--sites"] + exports,
+                    files, (0,)))
     for name, overrides in {**FAULT_RUNS, **NETWORK_RUNS}.items():
-        out.append((name, "simulate", [f"--set={overrides}", "--sites"] + exports, files))
-    out.append(("postmortem", "postmortem", ["--trace-csv=events.csv"], ["events.csv"]))
+        out.append((name, SIMULATE, [f"--set={overrides}", "--sites"] + exports, files, (0,)))
+    out.append(("postmortem", POSTMORTEM, ["--trace-csv=events.csv"], ["events.csv"], (0,)))
+    exports, files = export_args(BENCH_EXPORTS)
+    out.append(("fig3_observed_cell", FIG3, ["--jobs=600", "--seeds=101"] + exports, files,
+                (0, 1)))
     return out
 
 
@@ -87,7 +107,7 @@ def run_side(binary, args, workdir):
     return done.returncode, done.stdout
 
 
-def compare(parent_bin, change_bin, binary, args, files):
+def compare(parent_bin, change_bin, binary, args, files, ok_codes):
     """Differences between the two sides of one run, as a list of labels."""
     with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
         rc_a, out_a = run_side(os.path.join(parent_bin, binary), args, a)
@@ -95,7 +115,7 @@ def compare(parent_bin, change_bin, binary, args, files):
         diffs = []
         if rc_a != rc_b:
             diffs.append(f"exit code {rc_a} vs {rc_b}")
-        if rc_a != 0 or rc_b != 0:
+        if rc_a not in ok_codes or rc_b not in ok_codes:
             diffs.append(f"failed run (exit {rc_a} / {rc_b})")
         if out_a != out_b:
             diffs.append("stdout")
@@ -118,15 +138,15 @@ def main():
 
     bins = []
     for tree in (opts.parent, opts.change):
-        bin_dir = os.path.abspath(os.path.join(tree, opts.build_dir, "examples"))
-        for binary in ("simulate", "postmortem"):
+        bin_dir = os.path.abspath(os.path.join(tree, opts.build_dir))
+        for binary in (SIMULATE, POSTMORTEM, FIG3):
             if not os.access(os.path.join(bin_dir, binary), os.X_OK):
                 sys.exit(f"compare_runs: {os.path.join(bin_dir, binary)} is not built")
         bins.append(bin_dir)
 
     failed = 0
-    for name, binary, args, files in runs(opts.change):
-        diffs = compare(bins[0], bins[1], binary, args, files)
+    for name, binary, args, files, ok_codes in runs(opts.change):
+        diffs = compare(bins[0], bins[1], binary, args, files, ok_codes)
         status = "same" if not diffs else "DIFFERENT: " + ", ".join(diffs)
         print(f"{name:28s} {status}", flush=True)
         failed += bool(diffs)

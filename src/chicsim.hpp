@@ -21,7 +21,6 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/string_util.hpp"
-#include "util/svg_chart.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 

@@ -126,15 +126,13 @@ FaultPlan FaultPlan::generate(const SimulationConfig& config) {
 
 // --- FaultInjector ---
 
-FaultInjector::FaultInjector(const SimulationConfig& config, sim::Engine& engine,
-                             std::vector<site::Site>& sites,
+FaultInjector::FaultInjector(sim::Engine& engine, std::vector<site::Site>& sites,
                              const data::DatasetCatalog& catalog,
                              const data::ReplicaCatalog& replicas, const net::Topology& topology,
                              net::TransferManager& transfers, FetchPlanner& fetch,
                              ReplicationDriver& replication, JobLifecycle& lifecycle,
                              EventBus& events)
-    : config_(config),
-      engine_(engine),
+    : engine_(engine),
       sites_(sites),
       catalog_(catalog),
       replicas_(replicas),

@@ -105,11 +105,10 @@ struct FaultStats {
 /// the four services. Owned by the Grid; references are non-owning.
 class FaultInjector {
  public:
-  FaultInjector(const SimulationConfig& config, sim::Engine& engine,
-                std::vector<site::Site>& sites, const data::DatasetCatalog& catalog,
-                const data::ReplicaCatalog& replicas, const net::Topology& topology,
-                net::TransferManager& transfers, FetchPlanner& fetch,
-                ReplicationDriver& replication, JobLifecycle& lifecycle,
+  FaultInjector(sim::Engine& engine, std::vector<site::Site>& sites,
+                const data::DatasetCatalog& catalog, const data::ReplicaCatalog& replicas,
+                const net::Topology& topology, net::TransferManager& transfers,
+                FetchPlanner& fetch, ReplicationDriver& replication, JobLifecycle& lifecycle,
                 EventBus& events);
 
   /// Put every action of `plan` on the calendar. Call before the first
@@ -125,7 +124,6 @@ class FaultInjector {
   void apply_link_scale(net::LinkId link, double scale);
   void apply_catalog_loss(data::DatasetId dataset);
 
-  const SimulationConfig& config_;
   sim::Engine& engine_;
   std::vector<site::Site>& sites_;
   const data::DatasetCatalog& catalog_;

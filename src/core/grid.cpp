@@ -74,9 +74,9 @@ void Grid::wire_services() {
     return lifecycle_->job(id);
   });
   fetch_->bind_jobs(*lifecycle_);
-  injector_ = std::make_unique<FaultInjector>(config_, engine_, sites_, catalog_,
-                                              *replica_catalog_, topology_, *transfers_,
-                                              *fetch_, *replication_, *lifecycle_, bus_);
+  injector_ = std::make_unique<FaultInjector>(engine_, sites_, catalog_, *replica_catalog_,
+                                              topology_, *transfers_, *fetch_, *replication_,
+                                              *lifecycle_, bus_);
 }
 
 const site::Site& Grid::site_at(data::SiteIndex s) const {

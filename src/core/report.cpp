@@ -1,8 +1,16 @@
 #include "core/report.hpp"
 
-#include <ostream>
+#include <cstdio>
+#include <fstream>
+#include <optional>
 
+#include "core/site_metrics.hpp"
+#include "core/spans.hpp"
+#include "core/timeline.hpp"
+#include "core/trace_export.hpp"
+#include "sim/profiler.hpp"
 #include "util/csv.hpp"
+#include "util/error.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
 
@@ -72,44 +80,23 @@ std::string render_site_table(const Grid& grid) {
   return table.render();
 }
 
-namespace {
-
-const std::vector<std::string>& metrics_columns() {
-  static const std::vector<std::string> columns{
-      "jobs_completed",       "makespan_s",           "avg_response_time_s",
-      "p95_response_time_s",  "avg_queue_wait_s",     "avg_data_wait_s",
-      "avg_compute_s",        "avg_data_per_job_mb",  "avg_fetch_per_job_mb",
-      "avg_replication_per_job_mb", "idle_fraction",  "utilization",
-      "remote_fetches",       "replications",         "cache_evictions",
-      "jobs_run_at_origin"};
-  return columns;
-}
-
-std::vector<std::string> metrics_cells(const RunMetrics& m) {
-  return {std::to_string(m.jobs_completed),
-          util::format_fixed(m.makespan_s, 3),
-          util::format_fixed(m.avg_response_time_s, 3),
-          util::format_fixed(m.p95_response_time_s, 3),
-          util::format_fixed(m.avg_queue_wait_s, 3),
-          util::format_fixed(m.avg_data_wait_s, 3),
-          util::format_fixed(m.avg_compute_s, 3),
-          util::format_fixed(m.avg_data_per_job_mb, 3),
-          util::format_fixed(m.avg_fetch_per_job_mb, 3),
-          util::format_fixed(m.avg_replication_per_job_mb, 3),
-          util::format_fixed(m.idle_fraction, 5),
-          util::format_fixed(m.utilization, 5),
-          std::to_string(m.remote_fetches),
-          std::to_string(m.replications),
-          std::to_string(m.cache_evictions),
-          std::to_string(m.jobs_run_at_origin)};
-}
-
-}  // namespace
-
-void write_metrics_csv(const RunMetrics& metrics, std::ostream& out) {
+void write_metrics_csv(const RunMetrics& m, std::ostream& out) {
   util::CsvWriter csv(out);
-  csv.header(metrics_columns());
-  csv.row(metrics_cells(metrics));
+  csv.header({"jobs_completed", "makespan_s", "avg_response_time_s", "p95_response_time_s",
+              "avg_queue_wait_s", "avg_data_wait_s", "avg_compute_s", "avg_data_per_job_mb",
+              "avg_fetch_per_job_mb", "avg_replication_per_job_mb", "idle_fraction",
+              "utilization", "remote_fetches", "replications", "cache_evictions",
+              "jobs_run_at_origin"});
+  csv.row({std::to_string(m.jobs_completed), util::format_fixed(m.makespan_s, 3),
+           util::format_fixed(m.avg_response_time_s, 3),
+           util::format_fixed(m.p95_response_time_s, 3),
+           util::format_fixed(m.avg_queue_wait_s, 3), util::format_fixed(m.avg_data_wait_s, 3),
+           util::format_fixed(m.avg_compute_s, 3), util::format_fixed(m.avg_data_per_job_mb, 3),
+           util::format_fixed(m.avg_fetch_per_job_mb, 3),
+           util::format_fixed(m.avg_replication_per_job_mb, 3),
+           util::format_fixed(m.idle_fraction, 5), util::format_fixed(m.utilization, 5),
+           std::to_string(m.remote_fetches), std::to_string(m.replications),
+           std::to_string(m.cache_evictions), std::to_string(m.jobs_run_at_origin)});
 }
 
 void write_matrix_csv(const std::vector<CellResult>& cells, std::ostream& out) {
@@ -151,6 +138,72 @@ void write_jobs_csv(const Grid& grid, std::ostream& out) {
              util::format_fixed(job.compute_done_time, 3),
              util::format_fixed(job.finish_time, 3),
              util::format_fixed(job.response_time(), 3)});
+  }
+}
+
+void add_observed_run_options(util::CliParser& cli) {
+  cli.add_option("trace-out", "", "write a Chrome trace (Perfetto-loadable JSON) of the run");
+  cli.add_option("site-metrics-out", "",
+                 "write per-site/per-link metrics of the run (.json or CSV by extension)");
+  cli.add_option("spans-csv", "", "write the per-job span table of the run");
+  cli.add_flag("profile", "print a wall-clock event-loop profile after the run");
+}
+
+bool observed_run_requested(const util::CliParser& cli) {
+  return !cli.get("trace-out").empty() || !cli.get("site-metrics-out").empty() ||
+         !cli.get("spans-csv").empty() || cli.get_flag("profile");
+}
+
+namespace {
+/// Write one output unless `path` is empty, then print `done` with the path.
+void write_output(const std::string& path, const char* flag, const char* done,
+                  const std::function<void(std::ostream&)>& fill) {
+  if (path.empty()) return;
+  std::ofstream out(path);
+  if (!out) throw util::SimError(std::string("cannot write ") + flag + " file: " + path);
+  fill(out);
+  std::printf(done, path.c_str());
+}
+}  // namespace
+
+void run_observed(const util::CliParser& cli, Grid& grid, util::SimTime timeline_period_s,
+                  bool final_sample, const std::string& timeline_csv,
+                  const std::function<void()>& after_run) {
+  std::string trace_out = cli.get("trace-out");
+  std::string metrics_out = cli.get("site-metrics-out");
+  std::string spans_csv = cli.get("spans-csv");
+  std::optional<TimelineRecorder> timeline;
+  if (!trace_out.empty() || !timeline_csv.empty()) timeline.emplace(grid, timeline_period_s);
+  std::optional<SpanBuilder> spans;
+  if (!trace_out.empty() || !spans_csv.empty()) grid.add_observer(&spans.emplace());
+  std::optional<SiteMetricsObserver> metrics;
+  if (!metrics_out.empty()) grid.add_observer(&metrics.emplace(grid.topology(), &grid.routing()));
+  sim::EngineProfiler profiler;
+  if (cli.get_flag("profile")) grid.engine().set_profiler(&profiler);
+  grid.run();
+  grid.engine().set_profiler(nullptr);
+  if (after_run) after_run();
+
+  if (timeline && final_sample) timeline->sample_now();
+  write_output(timeline_csv, "--timeline-csv", "timeline written to %s\n",
+               [&](std::ostream& out) { timeline->write_csv(out); });
+  write_output(trace_out, "--trace-out", "chrome trace written to %s (load in ui.perfetto.dev)\n",
+               [&](std::ostream& out) {
+                 write_chrome_trace(out, *spans, grid.topology(), grid.site_count(),
+                                    &grid.routing(), timeline->samples());
+               });
+  write_output(metrics_out, "--site-metrics-out", "site/link metrics written to %s\n",
+               [&](std::ostream& out) {
+                 if (metrics_out.ends_with(".json")) {
+                   metrics->registry().write_json(out);
+                 } else {
+                   metrics->registry().write_csv(out);
+                 }
+               });
+  write_output(spans_csv, "--spans-csv", "per-job spans written to %s\n",
+               [&](std::ostream& out) { spans->write_csv(out); });
+  if (cli.get_flag("profile")) {
+    std::printf("\nwall-clock event-loop profile:\n%s", profiler.render_table().c_str());
   }
 }
 

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "util/json.hpp"
+#include "util/string_util.hpp"
 
 namespace chicsim::core {
 

@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <ostream>
 
-#include "util/json.hpp"
+#include "util/string_util.hpp"
 
 namespace chicsim::sim {
 

@@ -13,12 +13,12 @@ CliParser::CliParser(std::string program, std::string description)
 void CliParser::add_option(const std::string& name, const std::string& fallback,
                            const std::string& help) {
   CHICSIM_ASSERT_MSG(find(name) == nullptr, "duplicate option --" + name);
-  options_.push_back(Option{name, fallback, fallback, help, /*is_flag=*/false, false});
+  options_.push_back(Option{name, fallback, fallback, help, /*is_flag=*/false});
 }
 
 void CliParser::add_flag(const std::string& name, const std::string& help) {
   CHICSIM_ASSERT_MSG(find(name) == nullptr, "duplicate flag --" + name);
-  options_.push_back(Option{name, "false", "false", help, /*is_flag=*/true, false});
+  options_.push_back(Option{name, "false", "false", help, /*is_flag=*/true});
 }
 
 bool CliParser::parse(int argc, const char* const* argv) {
@@ -41,7 +41,6 @@ bool CliParser::parse(int argc, const char* const* argv) {
     }
     Option* opt = find(name);
     if (opt == nullptr) throw SimError("cli: unknown option --" + name);
-    opt->seen = true;
     if (opt->is_flag) {
       if (inline_value) {
         auto b = parse_bool(*inline_value);

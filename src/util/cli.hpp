@@ -40,7 +40,6 @@ class CliParser {
     std::string fallback;
     std::string help;
     bool is_flag = false;
-    bool seen = false;
   };
 
   [[nodiscard]] const Option* find(const std::string& name) const;

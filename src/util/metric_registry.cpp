@@ -5,7 +5,6 @@
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
-#include "util/json.hpp"
 #include "util/string_util.hpp"
 
 namespace chicsim::util {

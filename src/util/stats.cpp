@@ -36,24 +36,6 @@ Summary summarize(const OnlineStats& s) {
   return Summary{s.count(), s.mean(), s.stddev(), s.min(), s.max()};
 }
 
-Summary summarize(const std::vector<double>& samples) {
-  OnlineStats s;
-  for (double x : samples) s.add(x);
-  return summarize(s);
-}
-
-double percentile(std::vector<double> samples, double q) {
-  CHICSIM_ASSERT_MSG(!samples.empty(), "percentile of empty sample set");
-  CHICSIM_ASSERT_MSG(q >= 0.0 && q <= 1.0, "percentile: q out of [0,1]");
-  std::sort(samples.begin(), samples.end());
-  if (samples.size() == 1) return samples[0];
-  double pos = q * static_cast<double>(samples.size() - 1);
-  auto lo = static_cast<std::size_t>(pos);
-  if (lo + 1 >= samples.size()) return samples.back();
-  double frac = pos - static_cast<double>(lo);
-  return samples[lo] * (1.0 - frac) + samples[lo + 1] * frac;
-}
-
 double coefficient_of_variation(const Summary& s) {
   if (s.mean == 0.0) return 0.0;
   return s.stddev / std::abs(s.mean);
@@ -134,10 +116,15 @@ void P2Quantile::add(double x) {
 double P2Quantile::value() const {
   if (n_ == 0) return 0.0;
   if (n_ <= 5) {
-    // The first five samples are retained (and sorted at n == 5), so the
-    // exact order statistic is still available.
-    std::vector<double> copy(height_, height_ + n_);
-    return percentile(std::move(copy), q_);
+    // The first five samples are retained, so the exact order statistic
+    // is still available: interpolate linearly between the two nearest.
+    double sorted[5];
+    std::partial_sort_copy(height_, height_ + n_, sorted, sorted + n_);
+    double pos = q_ * static_cast<double>(n_ - 1);
+    auto lo = static_cast<std::size_t>(pos);
+    if (lo + 1 >= n_) return sorted[n_ - 1];
+    double frac = pos - static_cast<double>(lo);
+    return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
   }
   return height_[2];
 }

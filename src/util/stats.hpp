@@ -1,14 +1,13 @@
-// Streaming and batch statistics.
+// Streaming statistics.
 //
 // Every metric the paper reports (Figures 3-5) is a mean over per-job or
 // per-processor samples, averaged again over three seeds.  OnlineStats is a
-// numerically stable (Welford) accumulator for the per-run step;
-// SampleStats handles the cross-seed step where we also want the spread,
-// because §5.2 explicitly checks that seed-to-seed variance is negligible.
+// numerically stable (Welford) accumulator for both steps; its Summary
+// keeps the cross-seed spread, because §5.2 explicitly checks that
+// seed-to-seed variance is negligible.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace chicsim::util {
 
@@ -35,7 +34,7 @@ class OnlineStats {
   double max_ = 0.0;
 };
 
-/// Summary snapshot of an OnlineStats (or of raw samples).
+/// Summary snapshot of an OnlineStats.
 struct Summary {
   std::size_t count = 0;
   double mean = 0.0;
@@ -47,11 +46,6 @@ struct Summary {
 };
 
 [[nodiscard]] Summary summarize(const OnlineStats& s);
-[[nodiscard]] Summary summarize(const std::vector<double>& samples);
-
-/// Percentile of a sample set (linear interpolation between order
-/// statistics). `q` in [0, 1]. Sorts a copy — fine for reporting paths.
-[[nodiscard]] double percentile(std::vector<double> samples, double q);
 
 /// Relative spread (stddev / mean), 0 when the mean is 0. Used by the
 /// cross-seed variance check.

@@ -1,4 +1,4 @@
-// Small string helpers used by the config, CLI, and trace parsers.
+// Small string helpers used by the config, CLI and trace parsers and JSON writers.
 #pragma once
 
 #include <optional>
@@ -36,5 +36,8 @@ namespace chicsim::util {
 /// Shortest text that parses back to exactly `v` (std::to_chars), e.g.
 /// "0.1", "3600", "1e+300": config dumps and traces replay bit for bit.
 [[nodiscard]] std::string format_shortest(double v);
+
+/// Escape a string for embedding in a JSON document (quotes not included).
+[[nodiscard]] std::string json_escape(std::string_view s);
 
 }  // namespace chicsim::util

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/stats.hpp"
 #include "util/error.hpp"
 
 namespace chicsim::core {
@@ -156,7 +157,7 @@ TEST(Metrics, P95ExactForSmallRuns) {
   net::TransferManager tm(engine, topo, routing);
   RunMetrics m = collector.finalize(50.0, sites, tm);
   EXPECT_DOUBLE_EQ(m.p95_response_time_s,
-                   util::percentile({10.0, 20.0, 30.0, 40.0, 50.0}, 0.95));
+                   test_support::percentile({10.0, 20.0, 30.0, 40.0, 50.0}, 0.95));
 }
 
 }  // namespace

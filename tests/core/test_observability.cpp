@@ -14,8 +14,8 @@
 #include "core/spans.hpp"
 #include "core/timeline.hpp"
 #include "core/trace_export.hpp"
+#include "support/json.hpp"
 #include "util/csv.hpp"
-#include "util/json.hpp"
 
 namespace chicsim::core {
 namespace {
@@ -202,7 +202,7 @@ TEST(Observability, SiteMetricsAccountForEveryJob) {
   // The registry exports parseable JSON.
   std::ostringstream out;
   site_metrics.registry().write_json(out);
-  util::JsonValue doc = util::parse_json(out.str());
+  test_support::JsonValue doc = test_support::parse_json(out.str());
   EXPECT_GT(doc.at("metrics").size(), 0u);
 }
 
@@ -276,15 +276,15 @@ TEST(Observability, ChromeTraceIsSchemaValidJson) {
   std::ostringstream out;
   write_chrome_trace(out, spans, grid.topology(), grid.site_count(),
                      &grid.routing(), timeline.samples());
-  util::JsonValue doc = util::parse_json(out.str());
+  test_support::JsonValue doc = test_support::parse_json(out.str());
 
-  const util::JsonValue* events = doc.find("traceEvents");
+  const test_support::JsonValue* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_GT(events->size(), 0u);
 
   std::uint64_t complete = 0, async_begin = 0, async_end = 0, counters = 0,
                 meta = 0;
-  for (const util::JsonValue& e : events->items()) {
+  for (const test_support::JsonValue& e : events->items()) {
     const std::string ph = e.at("ph").as_string();
     ASSERT_NE(e.find("pid"), nullptr);
     if (ph == "X") {
@@ -327,8 +327,8 @@ TEST(Observability, ChromeTraceWithoutRoutingOrTimelineHasNoCounterTracks) {
   std::ostringstream out;
   write_chrome_trace(out, spans, grid.topology(), grid.site_count(),
                      /*routing=*/nullptr, /*timeline=*/{});
-  util::JsonValue doc = util::parse_json(out.str());
-  for (const util::JsonValue& e : doc.at("traceEvents").items()) {
+  test_support::JsonValue doc = test_support::parse_json(out.str());
+  for (const test_support::JsonValue& e : doc.at("traceEvents").items()) {
     EXPECT_NE(e.at("ph").as_string(), "C");
   }
 }

@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "sim/engine.hpp"
-#include "util/json.hpp"
+#include "support/json.hpp"
 
 namespace chicsim::sim {
 namespace {
@@ -113,10 +113,10 @@ TEST(Profiler, JsonReportParses) {
 
   std::ostringstream os;
   profiler.write_json(os);
-  util::JsonValue doc = util::parse_json(os.str());
+  test_support::JsonValue doc = test_support::parse_json(os.str());
   EXPECT_DOUBLE_EQ(doc.at("events").as_number(), 2.0);
   EXPECT_GT(doc.at("events_per_sec").as_number(), 0.0);
-  const util::JsonValue& tags = doc.at("tags");
+  const test_support::JsonValue& tags = doc.at("tags");
   ASSERT_NE(tags.find("alpha"), nullptr);
   ASSERT_NE(tags.find("be\"ta"), nullptr);
   EXPECT_DOUBLE_EQ(tags.find("alpha")->at("count").as_number(), 1.0);

@@ -1,11 +1,15 @@
-#include "util/json.hpp"
+#include "support/json.hpp"
 
 #include <gtest/gtest.h>
 
 #include "util/error.hpp"
+#include "util/string_util.hpp"
 
-namespace chicsim::util {
+namespace chicsim::test_support {
 namespace {
+
+using util::json_escape;
+using util::SimError;
 
 TEST(Json, ParsesScalars) {
   EXPECT_EQ(parse_json("null").kind(), JsonValue::Kind::Null);
@@ -51,4 +55,4 @@ TEST(Json, EscapeRoundTrips) {
 }
 
 }  // namespace
-}  // namespace chicsim::util
+}  // namespace chicsim::test_support

@@ -5,11 +5,14 @@
 #include <algorithm>
 #include <sstream>
 
+#include "support/json.hpp"
 #include "util/error.hpp"
-#include "util/json.hpp"
 
 namespace chicsim::util {
 namespace {
+
+using test_support::JsonValue;
+using test_support::parse_json;
 
 TEST(MetricRegistry, CountersAccumulate) {
   MetricRegistry reg;

@@ -5,11 +5,15 @@
 #include <cmath>
 #include <vector>
 
+#include "support/stats.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace chicsim::util {
 namespace {
+
+using test_support::percentile;
+using test_support::summarize;
 
 TEST(OnlineStats, EmptyIsZero) {
   OnlineStats s;

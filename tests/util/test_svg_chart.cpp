@@ -1,11 +1,13 @@
-#include "util/svg_chart.hpp"
+#include "svg_chart.hpp"
 
 #include <gtest/gtest.h>
 
 #include "util/error.hpp"
 
-namespace chicsim::util {
+namespace chicsim::bench {
 namespace {
+
+using util::SimError;
 
 GroupedBarChart sample_chart() {
   GroupedBarChart chart("Figure 3a", "response time (s)");
@@ -85,4 +87,4 @@ TEST(GroupedBarChart, SingleBarChartRenders) {
 }
 
 }  // namespace
-}  // namespace chicsim::util
+}  // namespace chicsim::bench
