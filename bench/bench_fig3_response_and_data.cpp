@@ -24,6 +24,8 @@ int bench_main(int argc, char** argv) {
   util::CliParser cli("bench_fig3_response_and_data",
                       "reproduce Figure 3a (response time) and 3b (data per job)");
   bench::add_standard_options(cli);
+  bench::add_matrix_csv_option(cli);
+  bench::add_svg_option(cli);
   core::add_observed_run_options(cli);
   if (!cli.parse(argc, argv)) return 0;
 

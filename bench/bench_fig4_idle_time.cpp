@@ -15,6 +15,8 @@ int bench_main(int argc, char** argv) {
   using core::EsAlgorithm;
   util::CliParser cli("bench_fig4_idle_time", "reproduce Figure 4 (processor idle time)");
   bench::add_standard_options(cli);
+  bench::add_matrix_csv_option(cli);
+  bench::add_svg_option(cli);
   if (!cli.parse(argc, argv)) return 0;
 
   core::SimulationConfig cfg = bench::config_from_cli(cli);

@@ -20,6 +20,7 @@ int bench_main(int argc, char** argv) {
   util::CliParser cli("bench_fig5_bandwidth",
                       "reproduce Figure 5 (response time vs network bandwidth)");
   bench::add_standard_options(cli);
+  bench::add_svg_option(cli);
   cli.add_option("fast-bandwidth", "100", "scenario-2 bandwidth in MB/s");
   if (!cli.parse(argc, argv)) return 0;
 

@@ -39,6 +39,7 @@ int bench_main(int argc, char** argv) {
   util::CliParser cli("bench_robustness",
                       "sweep fault intensity against the 4x3 scheduling matrix");
   bench::add_standard_options(cli);
+  cli.add_option("csv", "", "write raw sweep metrics to this CSV file");
   cli.add_option("rates", "0,0.25,1", "site crash rates per site-hour to sweep (0 first)");
   cli.add_option("downtime", "900", "mean site downtime in seconds");
   cli.add_option("transfer-fail", "0.05",

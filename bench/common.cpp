@@ -23,7 +23,13 @@ void add_standard_options(util::CliParser& cli) {
   cli.add_option("staleness", "120", "load information staleness in seconds");
   cli.add_option("threads", "1",
                  "worker threads for the simulation runs (1 = serial, 0 = all hardware threads)");
+}
+
+void add_matrix_csv_option(util::CliParser& cli) {
   cli.add_option("csv", "", "write raw cell metrics to this CSV file");
+}
+
+void add_svg_option(util::CliParser& cli) {
   cli.add_option("svg-prefix", "", "write the figure(s) as <prefix><name>.svg");
 }
 

@@ -24,8 +24,14 @@ int bench_main(int argc, char** argv);
 namespace chicsim::bench {
 
 /// Standard options shared by the experiment benches: bandwidth, seeds,
-/// job count (scale-down knob for quick runs).
+/// job count (scale-down knob for quick runs), staleness, threads.
 void add_standard_options(util::CliParser& cli);
+
+/// --csv, declared only by the benches that call maybe_write_matrix_csv.
+void add_matrix_csv_option(util::CliParser& cli);
+
+/// --svg-prefix, declared only by the benches that call maybe_write_svg.
+void add_svg_option(util::CliParser& cli);
 
 /// If any observed-run output (core::add_observed_run_options) was asked
 /// for, run ONE representative cell (es, ds, the first seed) with the

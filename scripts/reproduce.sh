@@ -44,8 +44,10 @@ for bench in "$repo"/build/bench/bench_*; do
              "--trace-out=$out/fig3_trace.json"
              "--site-metrics-out=$out/fig3_site_metrics.csv"
              "--spans-csv=$out/fig3_spans.csv" "--profile=1") ;;
-    bench_fig4_idle_time|bench_fig5_bandwidth)
+    bench_fig4_idle_time)
       args+=("--csv=$out/$name.csv" "--svg-prefix=$out/") ;;
+    bench_fig5_bandwidth)
+      args+=("--svg-prefix=$out/") ;;
   esac
   if ! "$bench" "${args[@]}" > "$out/$name.txt" 2>&1; then
     echo "   SHAPE CHECK FAILURE (see $out/$name.txt)"

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <type_traits>
 
+#include "core/faults.hpp"
 #include "util/error.hpp"
 #include "util/string_util.hpp"
 
@@ -41,8 +42,6 @@ void SimulationConfig::validate() const {
   require(compute_seconds_per_gb > 0.0, "compute_seconds_per_gb must be positive");
   require(output_fraction >= 0.0, "output_fraction must be non-negative");
   require(user_focus >= 0.0 && user_focus <= 1.0, "user_focus must be in [0, 1]");
-  require(backbone_bandwidth_multiplier > 0.0,
-          "backbone_bandwidth_multiplier must be positive");
   require(storage_capacity_mb >= max_dataset_mb,
           "storage_capacity_mb must hold at least one largest dataset");
   require(replication_threshold > 0.0, "replication_threshold must be positive");
@@ -58,13 +57,15 @@ void SimulationConfig::validate() const {
           "fault_transfer_fail_prob must be in [0, 1)");
   require(fault_catalog_loss_rate_per_hour >= 0.0,
           "fault_catalog_loss_rate_per_hour must be non-negative");
-  require(fault_horizon_s > 0.0, "fault_horizon_s must be positive");
-  require(fetch_retry_base_s > 0.0, "fetch_retry_base_s must be positive");
-  require(fetch_retry_max_s >= fetch_retry_base_s,
-          "fetch_retry_max_s must be >= fetch_retry_base_s");
-  require(fetch_max_retries >= 1, "fetch_max_retries must be >= 1");
-  require(resubmit_backoff_s > 0.0, "resubmit_backoff_s must be positive");
-  require(max_job_resubmissions >= 1, "max_job_resubmissions must be >= 1");
+  // FaultPlan::generate allocates every stochastic action up front, so a
+  // rate is bounded by the expected size of the plan it would generate.
+  constexpr double kMaxExpectedActions = 1e6;
+  double horizon_h = FaultPlan::kHorizonS / 3600.0;
+  require(2.0 * static_cast<double>(num_sites) * fault_site_crash_rate_per_hour * horizon_h <=
+              kMaxExpectedActions,
+          "fault_site_crash_rate_per_hour would generate over 1e6 crash/recover actions");
+  require(fault_catalog_loss_rate_per_hour * horizon_h <= kMaxExpectedActions,
+          "fault_catalog_loss_rate_per_hour would generate over 1e6 catalog losses");
   // Pinned masters must fit: expected load per site is
   // num_datasets/num_sites files of at most max_dataset_mb. We cannot know
   // the random placement here, so this is checked exactly at Grid build.

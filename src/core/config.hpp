@@ -52,14 +52,10 @@ struct SimulationConfig {
   double replication_threshold = 10.0;  ///< requests before a dataset is "popular"
   util::SimTime ds_check_period_s = 300.0;  ///< DS evaluation period
   std::size_t num_regions = 6;  ///< regional routers in the hierarchy
-  /// Network shape (Hierarchy = paper; Star = flat ablation where
-  /// num_regions and the backbone multiplier are ignored and every site
+  /// Network shape (Hierarchy = paper, every link at link_bandwidth_mbps;
+  /// Star = flat ablation where num_regions is ignored and every site
   /// neighbours every other).
   TopologyKind topology = TopologyKind::Hierarchy;
-  /// Bandwidth multiplier for the root<->region backbone links (1.0 = the
-  /// paper's uniform links; GriPhyN-era tier architectures provisioned the
-  /// backbone fatter, which this knob models for ablations).
-  double backbone_bandwidth_multiplier = 1.0;
   /// Age of the load information schedulers observe: 0 = exact and
   /// instantaneous; > 0 = site loads are re-published every this many
   /// seconds, as with the MDS/NWS information services the paper names as
@@ -88,7 +84,11 @@ struct SimulationConfig {
   NeighborScope ds_neighbor_scope = NeighborScope::Grid;
   net::SharePolicy share_policy = net::SharePolicy::EqualShare;
 
-  // --- fault injection and recovery (docs/robustness.md) ---
+  // --- fault injection (docs/robustness.md) ---
+  // Stochastic faults are generated over the first 24 h of virtual time
+  // (FaultPlan::kHorizonS). Recovery is not configurable: the retry
+  // backoffs and no-progress budgets are constants of the FetchPlanner
+  // and the JobLifecycle.
   /// Stochastic FaultPlan generation (seeded from `seed`, substream
   /// "faults"): expected site crashes per site per hour of virtual time
   /// (0 = fault-free; the paper's setting). Each crash is paired with a
@@ -103,36 +103,14 @@ struct SimulationConfig {
   /// physical copy vanishes while the catalog keeps advertising it, until
   /// source selection discovers and reconciles the lie.
   double fault_catalog_loss_rate_per_hour = 0.0;
-  /// Stochastic faults are generated over [0, fault_horizon_s) of virtual
-  /// time; events past the end of the run simply never fire.
-  util::SimTime fault_horizon_s = 86400.0;
-  /// Failed-fetch retry backoff: base * 2^(attempt-1), capped at max.
-  util::SimTime fetch_retry_base_s = 30.0;
-  util::SimTime fetch_retry_max_s = 600.0;
-  /// Consecutive no-progress attempts (failed transfers or parked polls
-  /// with no live source) per pending fetch before the run aborts with an
-  /// error — an invariant guard against silent infinite retry, not a drop
-  /// policy. The counter resets whenever a transfer actually starts, so
-  /// the budget bounds one continuous outage (~6 h of capped backoff at
-  /// the defaults), not the lifetime total.
-  std::size_t fetch_max_retries = 40;
-  /// Delay before re-consulting the ES for a job that lost its site or was
-  /// routed to a dead one, and before retrying an output return whose
-  /// origin is down; grows exponentially per attempt (capped at 16x).
-  util::SimTime resubmit_backoff_s = 60.0;
-  /// Consecutive failed placements of a job before the run aborts with an
-  /// error. Like fetch_max_retries, the counter resets on a successful
-  /// dispatch, so the budget bounds one continuous placement outage (the
-  /// livelock guard), not the lifetime total of crash-kills a long faulty
-  /// run can inflict on an unlucky job.
-  std::size_t max_job_resubmissions = 40;
 
   std::uint64_t seed = 1;
 
   [[nodiscard]] std::size_t jobs_per_user() const { return total_jobs / num_users; }
 
   /// Throws util::SimError when inconsistent (zero sites, users not evenly
-  /// divisible into jobs, inverted ranges, non-finite values, ...).
+  /// divisible into jobs, inverted ranges, non-finite values, fault rates
+  /// that would generate more than a million actions, ...).
   void validate() const;
 
   /// Overlay values from a parsed config file (keys match the field names,
@@ -173,7 +151,6 @@ void SimulationConfig::for_each_key(F&& f) {
   f("ds_check_period_s", &C::ds_check_period_s);
   f("num_regions", &C::num_regions);
   f("topology", &C::topology);
-  f("backbone_bandwidth_multiplier", &C::backbone_bandwidth_multiplier);
   f("info_staleness_s", &C::info_staleness_s);
   f("es_mapping", &C::es_mapping);
   f("central_decision_overhead_s", &C::central_decision_overhead_s);
@@ -189,12 +166,6 @@ void SimulationConfig::for_each_key(F&& f) {
   f("fault_site_downtime_s", &C::fault_site_downtime_s);
   f("fault_transfer_fail_prob", &C::fault_transfer_fail_prob);
   f("fault_catalog_loss_rate_per_hour", &C::fault_catalog_loss_rate_per_hour);
-  f("fault_horizon_s", &C::fault_horizon_s);
-  f("fetch_retry_base_s", &C::fetch_retry_base_s);
-  f("fetch_retry_max_s", &C::fetch_retry_max_s);
-  f("fetch_max_retries", &C::fetch_max_retries);
-  f("resubmit_backoff_s", &C::resubmit_backoff_s);
-  f("max_job_resubmissions", &C::max_job_resubmissions);
   f("seed", &C::seed);
 }
 

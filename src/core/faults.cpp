@@ -99,7 +99,7 @@ FaultPlan FaultPlan::generate(const SimulationConfig& config) {
     double crash_rate_per_s = config.fault_site_crash_rate_per_hour / 3600.0;
     for (data::SiteIndex s = 0; s < config.num_sites; ++s) {
       util::SimTime t = rng.exponential(crash_rate_per_s);
-      while (t < config.fault_horizon_s) {
+      while (t < kHorizonS) {
         double downtime = rng.exponential(1.0 / config.fault_site_downtime_s);
         plan.crash_site(t, s);
         plan.recover_site(t + downtime, s);
@@ -115,7 +115,7 @@ FaultPlan FaultPlan::generate(const SimulationConfig& config) {
   if (config.fault_catalog_loss_rate_per_hour > 0.0) {
     double loss_rate_per_s = config.fault_catalog_loss_rate_per_hour / 3600.0;
     util::SimTime t = rng.exponential(loss_rate_per_s);
-    while (t < config.fault_horizon_s) {
+    while (t < kHorizonS) {
       auto victim = static_cast<data::DatasetId>(rng.index(config.num_datasets));
       plan.lose_catalog_entry(t, victim);
       t += rng.exponential(loss_rate_per_s);

@@ -79,11 +79,15 @@ class FaultPlan {
   [[nodiscard]] bool empty() const { return actions_.empty(); }
   [[nodiscard]] std::size_t size() const { return actions_.size(); }
 
+  /// Stochastic faults are generated over [0, kHorizonS) of virtual time,
+  /// the first 24 h; events past the end of the run simply never fire.
+  static constexpr util::SimTime kHorizonS = 86400.0;
+
   /// Derive the stochastic fault streams from the config's rates, drawing
   /// only from the "faults" substream of config.seed:
   ///   - per-site crash/recover pairs: Poisson arrivals at
   ///     fault_site_crash_rate_per_hour, exponential downtimes with mean
-  ///     fault_site_downtime_s, over [0, fault_horizon_s);
+  ///     fault_site_downtime_s, over [0, kHorizonS);
   ///   - grid-wide catalog-entry losses at fault_catalog_loss_rate_per_hour.
   /// fault_transfer_fail_prob is not expanded here: per-transfer failures
   /// are drawn online by the FetchPlanner (a plan cannot know transfer

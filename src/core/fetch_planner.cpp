@@ -136,14 +136,12 @@ void FetchPlanner::cut_wire(data::DatasetId dataset, PendingFetch& fetch) {
 void FetchPlanner::schedule_retry(data::SiteIndex dest, data::DatasetId dataset,
                                   PendingFetch& fetch) {
   ++fetch.attempts;
-  if (fetch.attempts > config_.fetch_max_retries) {
+  if (fetch.attempts > kMaxRetries) {
     throw util::SimError("fetch of dataset " + std::to_string(dataset) + " toward site " +
                          std::to_string(dest) + " abandoned after " +
-                         std::to_string(config_.fetch_max_retries) +
-                         " attempts (fetch_max_retries)");
+                         std::to_string(kMaxRetries) + " attempts without progress");
   }
-  double delay = util::capped_backoff(config_.fetch_retry_base_s, fetch.attempts,
-                                      config_.fetch_retry_max_s);
+  double delay = util::capped_backoff(kRetryBaseS, fetch.attempts, kRetryMaxS);
   fetch.retry_event = engine_.schedule_in(
       delay, "fetch_retry", [this, dest, dataset] { retry_fetch(dest, dataset); });
 }

@@ -45,6 +45,18 @@ class FetchPlanner final {
                net::TransferManager& transfers, ReplicationDriver& replication,
                EventBus& events);
 
+  /// Failed-fetch retry backoff: kRetryBaseS * 2^(attempt-1), capped at
+  /// kRetryMaxS.
+  static constexpr util::SimTime kRetryBaseS = 30.0;
+  static constexpr util::SimTime kRetryMaxS = 600.0;
+  /// Consecutive no-progress attempts (failed transfers or parked polls
+  /// with no live source) per pending fetch before the run aborts with an
+  /// error: an invariant guard against silent infinite retry, not a drop
+  /// policy. The counter resets whenever a transfer actually starts, so
+  /// the budget bounds one continuous outage (~6 h of capped backoff), not
+  /// the lifetime total.
+  static constexpr std::uint32_t kMaxRetries = 40;
+
   /// Late wiring for the services' one cycle: the lifecycle is built after
   /// the planner (dispatch requests inputs), and a landed fetch updates its
   /// waiters' job records and restarts jobs at the destination.
@@ -111,7 +123,7 @@ class FetchPlanner final {
   /// teardown runs before the wipe); the fetch is left without a source.
   void cut_wire(data::DatasetId dataset, PendingFetch& fetch);
   /// Count the attempt and schedule retry_fetch after the capped
-  /// exponential backoff; throws SimError past fetch_max_retries.
+  /// exponential backoff; throws SimError past kMaxRetries.
   void schedule_retry(data::SiteIndex dest, data::DatasetId dataset, PendingFetch& fetch);
   /// One retry round: complete locally if the data landed meanwhile,
   /// otherwise re-select a source (failover) and attempt again.

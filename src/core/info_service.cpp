@@ -24,15 +24,11 @@ InfoService::InfoService(const SimulationConfig& config, const sim::Engine& engi
       transfers_(transfers),
       neighbors_(neighbors) {}
 
-util::SimTime InfoService::current_epoch() const {
-  if (config_.info_staleness_s <= 0.0) return now();
-  return std::floor(now() / config_.info_staleness_s) * config_.info_staleness_s;
-}
-
 bool InfoService::capture_due(util::SimTime& epoch, util::SimTime& checked_at) const {
   if (now() == checked_at) return false;
   checked_at = now();
-  util::SimTime current = current_epoch();
+  util::SimTime period = config_.info_staleness_s;
+  util::SimTime current = period <= 0.0 ? now() : std::floor(now() / period) * period;
   if (current <= epoch) return false;
   epoch = current;
   return true;

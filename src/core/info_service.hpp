@@ -63,17 +63,15 @@ class InfoService final : public GridView {
                                                    data::SiteIndex b) const override;
   [[nodiscard]] util::SimTime now() const override { return engine_.now(); }
 
-  /// The publication epoch the current time falls in (diagnostics/tests).
-  [[nodiscard]] util::SimTime current_epoch() const;
-
  private:
   /// Re-publish the given snapshot family if a new epoch began. Families
   /// refresh independently, each at its first query inside the epoch.
   void refresh_loads() const;
   void refresh_replicas() const;
   void refresh_alive() const;
-  /// Whether a family captured in `epoch` must be re-captured now; checks
-  /// the epoch once per virtual instant. Site and catalog sizes are fixed,
+  /// Whether a family captured in `epoch` must be re-captured now, i.e.
+  /// whether the publication epoch now() falls in is later; checks the
+  /// epoch once per virtual instant. Site and catalog sizes are fixed,
   /// and the initial epoch of -1 forces the first capture.
   bool capture_due(util::SimTime& epoch, util::SimTime& checked_at) const;
 

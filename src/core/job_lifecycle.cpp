@@ -145,17 +145,17 @@ void JobLifecycle::resubmit_with_backoff(site::Job& job, data::SiteIndex strande
                      "only submitted jobs can be resubmitted");
   ++job.resubmissions;
   ++job.reschedule_generation;
-  if (job.resubmissions > config_.max_job_resubmissions) {
-    throw util::SimError(job.describe() + " exceeded max_job_resubmissions (" +
-                         std::to_string(config_.max_job_resubmissions) +
-                         " consecutive); the grid cannot place it");
+  if (job.resubmissions > kMaxResubmissions) {
+    throw util::SimError(job.describe() + " failed placement " +
+                         std::to_string(kMaxResubmissions) +
+                         " consecutive times; the grid cannot place it");
   }
   events_.emit(GridEvent{GridEventType::JobResubmitted, 0.0, job.id, data::kNoDataset,
                          stranded_site, data::kNoSite, 0.0});
   // Capped exponential backoff: quick first retry (the common transient),
   // but a grid-wide outage does not busy-loop the calendar.
-  double delay = util::capped_backoff(config_.resubmit_backoff_s, job.resubmissions,
-                                      16.0 * config_.resubmit_backoff_s);
+  double delay = util::capped_backoff(kResubmitBackoffS, job.resubmissions,
+                                      kResubmitBackoffCap * kResubmitBackoffS);
   site::JobId id = job.id;
   engine_.schedule_in(delay, "job_resubmit", [this, id] { decide_and_dispatch(job_mut(id)); });
 }
@@ -247,16 +247,16 @@ void JobLifecycle::start_output_return(site::JobId id, util::Megabytes output_mb
     // is resubmitted wholesale and the pending retry below goes stale —
     // the resubmission-generation guard drops it.
     ++job.output_retries;
-    if (job.output_retries > config_.max_job_resubmissions) {
+    if (job.output_retries > kMaxResubmissions) {
       throw util::SimError(job.describe() +
                            " could not return its output: origin site down past " +
-                           std::to_string(config_.max_job_resubmissions) + " retries");
+                           std::to_string(kMaxResubmissions) + " retries");
     }
     events_.emit(GridEvent{GridEventType::TransferRetried, 0.0, id, data::kNoDataset,
                            data::kNoSite, job.origin_site, output_mb});
     std::uint32_t generation = job.reschedule_generation;
-    double delay = util::capped_backoff(config_.resubmit_backoff_s, job.output_retries,
-                                        16.0 * config_.resubmit_backoff_s);
+    double delay = util::capped_backoff(kResubmitBackoffS, job.output_retries,
+                                        kResubmitBackoffCap * kResubmitBackoffS);
     engine_.schedule_in(delay, "output_retry",
                         [this, id, output_mb, generation] {
                           site::Job& j = job_mut(id);

@@ -48,6 +48,19 @@ class JobLifecycle final {
                net::TransferManager& transfers, FetchPlanner& fetch, const GridView& view,
                EventBus& events);
 
+  /// Delay before re-consulting the ES for a job that lost its site or was
+  /// routed to a dead one, and before retrying an output return whose
+  /// origin is down: kResubmitBackoffS * 2^(attempt-1), capped at
+  /// kResubmitBackoffCap x kResubmitBackoffS.
+  static constexpr util::SimTime kResubmitBackoffS = 60.0;
+  static constexpr double kResubmitBackoffCap = 16.0;
+  /// Consecutive failed placements of a job (or held output retries)
+  /// before the run aborts with an error. The placement counter resets on
+  /// a successful dispatch, so the budget bounds one continuous outage (the
+  /// livelock guard), not the lifetime total of crash-kills a long faulty
+  /// run can inflict on an unlucky job.
+  static constexpr std::uint32_t kMaxResubmissions = 40;
+
   void set_external_scheduler(std::unique_ptr<ExternalScheduler> es);
   void set_local_scheduler(std::unique_ptr<LocalScheduler> ls);
 
@@ -74,7 +87,7 @@ class JobLifecycle final {
   /// Site-crash recovery: every job stranded on `s` (queued, running, or
   /// returning output) is killed, reset to Submitted, and handed back to
   /// the External Scheduler after a backoff — bounded by
-  /// max_job_resubmissions. Runs after the fetch/replication teardown and
+  /// kMaxResubmissions. Runs after the fetch/replication teardown and
   /// the storage wipe, so the ES decides against the post-crash world.
   void on_site_crashed(data::SiteIndex s);
 
@@ -101,7 +114,7 @@ class JobLifecycle final {
   void finalize_job(site::JobId id);
   /// Put a Submitted job back in front of the ES after a capped
   /// exponential backoff; `stranded_site` is the site that failed it.
-  /// Throws SimError past max_job_resubmissions.
+  /// Throws SimError past kMaxResubmissions.
   void resubmit_with_backoff(site::Job& job, data::SiteIndex stranded_site);
 
   const SimulationConfig& config_;

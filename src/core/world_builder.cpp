@@ -9,12 +9,7 @@ net::Topology build_topology(const SimulationConfig& config) {
   if (config.topology == TopologyKind::Star) {
     return net::build_star(config.num_sites, config.link_bandwidth_mbps);
   }
-  net::HierarchyConfig hcfg;
-  hcfg.num_sites = config.num_sites;
-  hcfg.num_regions = config.num_regions;
-  hcfg.link_bandwidth_mbps = config.link_bandwidth_mbps;
-  hcfg.backbone_multiplier = config.backbone_bandwidth_multiplier;
-  return net::build_hierarchy(hcfg);
+  return net::build_hierarchy({config.num_sites, config.num_regions, config.link_bandwidth_mbps});
 }
 
 std::vector<site::Site> build_sites(const SimulationConfig& config) {

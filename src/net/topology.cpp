@@ -55,8 +55,6 @@ Topology build_hierarchy(const HierarchyConfig& config) {
   CHICSIM_ASSERT_MSG(config.num_sites > 0, "hierarchy needs at least one site");
   CHICSIM_ASSERT_MSG(config.num_regions > 0, "hierarchy needs at least one region");
   CHICSIM_ASSERT_MSG(config.link_bandwidth_mbps > 0.0, "bandwidth must be positive");
-  CHICSIM_ASSERT_MSG(config.backbone_multiplier > 0.0,
-                     "backbone multiplier must be positive");
 
   Topology topo;
   // Sites first so NodeId == site index for callers.
@@ -68,7 +66,7 @@ Topology build_hierarchy(const HierarchyConfig& config) {
   regions.reserve(config.num_regions);
   for (std::size_t r = 0; r < config.num_regions; ++r) {
     NodeId region = topo.add_node(NodeKind::Router, "region" + std::to_string(r));
-    topo.add_link(root, region, config.link_bandwidth_mbps * config.backbone_multiplier);
+    topo.add_link(root, region, config.link_bandwidth_mbps);
     regions.push_back(region);
   }
   for (std::size_t s = 0; s < config.num_sites; ++s) {

@@ -70,10 +70,7 @@ class Topology {
 struct HierarchyConfig {
   std::size_t num_sites = 30;
   std::size_t num_regions = 6;  ///< regional routers under the root
-  util::MbPerSec link_bandwidth_mbps = 10.0;  ///< Table 1 scenario 1
-  /// Root<->region links get link_bandwidth_mbps x this (1.0 = the paper's
-  /// uniform links; > 1 models a fatter tier-0 backbone).
-  double backbone_multiplier = 1.0;
+  util::MbPerSec link_bandwidth_mbps = 10.0;  ///< every link; Table 1 scenario 1
 };
 
 /// Build root -> regional routers -> leaf sites, sites spread round-robin

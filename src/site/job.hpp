@@ -66,7 +66,7 @@ struct Job {
   /// Fault-recovery counters: consecutive re-queues since the last
   /// successful dispatch (reset when the ES places the job on a live
   /// site), and how many times the output return was restarted. Both
-  /// bounded by SimulationConfig::max_job_resubmissions.
+  /// bounded by core::JobLifecycle::kMaxResubmissions.
   std::uint32_t resubmissions = 0;
   std::uint32_t output_retries = 0;
 

@@ -177,13 +177,36 @@ void expect_rejected_naming(const SimulationConfig& cfg, const std::string& key,
   }
 }
 
-TEST(Config, RejectsInfiniteFaultHorizon) {
-  // An infinite horizon made FaultPlan generation loop until out of memory.
+TEST(Config, RejectsFaultRatesThatWouldFloodThePlan) {
+  // FaultPlan::generate allocates ~rate x 24 h actions up front; 1e8 losses
+  // per hour would be ~2.4e9 of them. Only validate() runs here.
   SimulationConfig cfg;
-  cfg.fault_site_crash_rate_per_hour = 1.0;
-  expect_rejected_naming(cfg, "fault_horizon_s", "fault_horizon_s = inf\n");
-  cfg.fault_horizon_s = std::numeric_limits<double>::infinity();
-  expect_rejected_naming(cfg, "fault_horizon_s");
+  cfg.fault_catalog_loss_rate_per_hour = 1e8;
+  expect_rejected_naming(cfg, "fault_catalog_loss_rate_per_hour");
+  cfg.fault_catalog_loss_rate_per_hour = 240.0;  // the largest rate any run uses
+  EXPECT_NO_THROW(cfg.validate());
+
+  // Crashes scale with the site count: 2 actions per crash, per site.
+  cfg.fault_site_crash_rate_per_hour = 1000.0;  // 2 x 30 x 1000 x 24 = 1.44e6
+  expect_rejected_naming(cfg, "fault_site_crash_rate_per_hour");
+  cfg.fault_site_crash_rate_per_hour = 600.0;  // 8.64e5
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.num_sites = 3840;
+  cfg.num_users = 15360;
+  cfg.total_jobs = 15360;
+  cfg.fault_site_crash_rate_per_hour = 6.0;  // 2 x 3840 x 6 x 24 = 1.1e6
+  expect_rejected_naming(cfg, "fault_site_crash_rate_per_hour");
+}
+
+TEST(Config, RemovedKeysAreUnknown) {
+  // Backbone bandwidth, fault horizon and the recovery backoffs/budgets are
+  // constants now; a file that still names one is rejected, naming it.
+  for (const char* key :
+       {"backbone_bandwidth_multiplier", "fault_horizon_s", "fetch_retry_base_s",
+        "fetch_retry_max_s", "fetch_max_retries", "resubmit_backoff_s",
+        "max_job_resubmissions"}) {
+    expect_rejected_naming(SimulationConfig{}, key, std::string(key) + " = 1\n");
+  }
 }
 
 TEST(Config, RejectsNanOrNegativeStaleness) {

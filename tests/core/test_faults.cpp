@@ -11,7 +11,9 @@
 
 #include "core/audit.hpp"
 #include "core/faults.hpp"
+#include "core/fetch_planner.hpp"
 #include "core/grid.hpp"
+#include "core/job_lifecycle.hpp"
 
 namespace chicsim::core {
 namespace {
@@ -74,7 +76,7 @@ void expect_identical_runs(const RunMetrics& a, const RunMetrics& b) {
 TEST(Faults, EmptyPlanIsBitIdenticalAcrossTheFullMatrix) {
   // The hard guarantee the framework is built around: with no faults
   // configured, every (ES, DS) cell is bit-identical to a run that never
-  // heard of fault plans — even when the retry/backoff knobs differ.
+  // heard of fault plans.
   for (EsAlgorithm es : paper_es_algorithms()) {
     for (DsAlgorithm ds : paper_ds_algorithms()) {
       SimulationConfig cfg = small_config();
@@ -84,10 +86,7 @@ TEST(Faults, EmptyPlanIsBitIdenticalAcrossTheFullMatrix) {
       Grid plain(cfg);
       plain.run();
 
-      SimulationConfig with_knobs = cfg;
-      with_knobs.fetch_retry_base_s = 5.0;  // recovery knobs are inert fault-free
-      with_knobs.resubmit_backoff_s = 7.0;
-      Grid with_plan(with_knobs);
+      Grid with_plan(cfg);
       with_plan.add_fault_plan(FaultPlan{});  // explicitly empty
       with_plan.run();
 
@@ -129,7 +128,7 @@ TEST(Faults, CrashDuringComputeResubmitsAndCompletesEverything) {
   // Two sites die while the grid is busy and come back much later; every
   // stranded job (queued, running, fetching) must be re-placed and finish.
   // Downtimes stay inside the parked-fetch no-progress budget
-  // (fetch_max_retries polls with capped backoff, ~6 h at the defaults); a
+  // (FetchPlanner::kMaxRetries polls with capped backoff, ~6 h); a
   // longer continuous outage is an error by design — the planner refuses
   // to wait forever for a dataset that may never come back.
   grid.add_fault_plan(FaultPlan{}
@@ -255,7 +254,7 @@ TEST(Faults, ParkedFetchBacksOffExponentially) {
 
   // Group the parked polls (TransferRetried with no source) per
   // (dest, dataset) and check consecutive gaps double: the schedule is
-  // base * 2^(attempt-1), capped at fetch_retry_max_s.
+  // base * 2^(attempt-1), capped at FetchPlanner::kRetryMaxS.
   std::map<std::pair<data::SiteIndex, data::DatasetId>, std::vector<double>> polls;
   for (const GridEvent& e : recorder.of_type(GridEventType::TransferRetried)) {
     if (e.site_a == data::kNoSite) polls[{e.site_b, e.dataset}].push_back(e.time);
@@ -266,13 +265,13 @@ TEST(Faults, ParkedFetchBacksOffExponentially) {
     for (std::size_t i = 0; i + 2 < times.size(); ++i) {
       double gap1 = times[i + 1] - times[i];
       double gap2 = times[i + 2] - times[i + 1];
-      if (gap1 < cfg.fetch_retry_max_s - 1e-9) {
-        EXPECT_NEAR(gap2, std::min(2.0 * gap1, cfg.fetch_retry_max_s), 1e-6);
+      if (gap1 < FetchPlanner::kRetryMaxS - 1e-9) {
+        EXPECT_NEAR(gap2, std::min(2.0 * gap1, FetchPlanner::kRetryMaxS), 1e-6);
         saw_doubling = true;
       }
     }
     for (std::size_t i = 1; i < times.size(); ++i) {
-      EXPECT_GE(times[i] - times[i - 1], cfg.fetch_retry_base_s - 1e-9);
+      EXPECT_GE(times[i] - times[i - 1], FetchPlanner::kRetryBaseS - 1e-9);
     }
   }
   EXPECT_TRUE(saw_doubling);
@@ -321,8 +320,9 @@ TEST(Faults, OutputReturnRetriesWhileOriginIsDown) {
 
 TEST(Faults, OutputReturnBacksOffThroughALongOriginOutage) {
   // Output returns back off like resubmissions (60 s doubling to 960 s),
-  // so max_job_resubmissions (40) spans ~9.8 h of origin outage. A fixed
-  // 60 s retry would exhaust it in this 5,000 s outage and abort the run.
+  // so JobLifecycle::kMaxResubmissions (40) spans ~9.8 h of origin
+  // outage. A fixed 60 s retry would exhaust it in this 5,000 s outage and
+  // abort the run.
   SimulationConfig cfg = small_config();
   cfg.output_fraction = 0.5;
   EventRecorder recorder;
@@ -341,8 +341,9 @@ TEST(Faults, OutputReturnBacksOffThroughALongOriginOutage) {
   bool saw_doubling = false;
   for (const auto& [job, times] : retries) {
     for (std::size_t i = 1; i < times.size(); ++i) {
-      double doubled = std::ldexp(cfg.resubmit_backoff_s, static_cast<int>(i) - 1);
-      double expected = std::min(doubled, 16.0 * cfg.resubmit_backoff_s);
+      double doubled = std::ldexp(JobLifecycle::kResubmitBackoffS, static_cast<int>(i) - 1);
+      double expected = std::min(doubled, JobLifecycle::kResubmitBackoffCap *
+                                              JobLifecycle::kResubmitBackoffS);
       EXPECT_NEAR(times[i] - times[i - 1], expected, 1e-6) << "job " << job;
       if (i >= 2) saw_doubling = true;
     }
@@ -365,33 +366,41 @@ TEST(Faults, CrashHeavyStochasticRunStillCompletesEveryJob) {
 }
 
 TEST(Faults, ResubmissionBudgetBoundsConsecutiveFailuresNotLifetime) {
-  // max_job_resubmissions is the livelock guard: it bounds CONSECUTIVE
-  // failed placements and resets once the ES lands the job on a live site.
-  // Regression: the counter used to accumulate over the job's lifetime, so
-  // a JobLocal job whose home site crashed in enough separate episodes
-  // (each individually within budget) aborted the run with "the grid
-  // cannot place it" even though it was making progress between episodes.
+  // JobLifecycle::kMaxResubmissions is the livelock guard: it bounds
+  // CONSECUTIVE failed placements and resets once the ES lands the job on
+  // a live site. Regression: the counter used to accumulate over the job's
+  // lifetime, so a JobLocal job whose home site crashed in enough separate
+  // episodes (each individually within budget) aborted the run with "the
+  // grid cannot place it" even though it was making progress in between.
   SimulationConfig cfg = small_config();
   cfg.es = EsAlgorithm::JobLocal;  // pinned to home: every episode hits it
-  cfg.max_job_resubmissions = 2;
+  EventRecorder recorder;
   Grid grid(cfg);
-  // Seven 100 s outages of site 1, 400 s apart. Within one episode a job
-  // is hit at most twice (killed/held at the crash, held once more at the
-  // 60 s retry; the 180 s one lands after recovery) — inside the budget of
-  // 2. Across the run, site-1 jobs take far more than 2 hits total.
+  grid.add_observer(&recorder);
+  // Thirty 100 s outages of site 1, 400 s apart. Within one episode a job is
+  // hit at most twice (killed/held at the crash, held once more at the
+  // 60 s retry; the 180 s one lands after recovery), far inside the budget.
+  // A job whose run outlasts the 220 s of uptime between episodes is hit
+  // in every episode, more than kMaxResubmissions times over its lifetime.
+  constexpr int kOutages = 30;
   FaultPlan plan;
-  for (int k = 0; k < 7; ++k) {
+  for (int k = 0; k < kOutages; ++k) {
     plan.crash_site(100.0 + 400.0 * k, 1).recover_site(200.0 + 400.0 * k, 1);
   }
   grid.add_fault_plan(std::move(plan));
   grid.run();
 
   EXPECT_EQ(grid.metrics().jobs_completed, cfg.total_jobs);
-  EXPECT_EQ(grid.metrics().site_crashes, 7u);
-  // The lifetime total across site-1 jobs dwarfs the per-episode budget —
-  // the scenario the old accumulate-forever counter rejected.
-  EXPECT_GT(grid.metrics().jobs_resubmitted,
-            static_cast<std::uint64_t>(cfg.max_job_resubmissions));
+  EXPECT_EQ(grid.metrics().site_crashes, static_cast<std::uint64_t>(kOutages));
+  // One job's lifetime total exceeds the consecutive budget: the scenario
+  // the old accumulate-forever counter rejected (or, with its backoff
+  // escalating for good, sat out most episodes instead of retrying).
+  std::map<site::JobId, std::uint32_t> hits;
+  std::uint32_t most = 0;
+  for (const GridEvent& e : recorder.of_type(GridEventType::JobResubmitted)) {
+    most = std::max(most, ++hits[e.job]);
+  }
+  EXPECT_GT(most, JobLifecycle::kMaxResubmissions);
   audit_grid(grid);
 }
 

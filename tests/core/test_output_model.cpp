@@ -1,5 +1,4 @@
-// Tests of the output-return extension (SimulationConfig::output_fraction)
-// and the backbone-bandwidth knob.
+// Tests of the output-return extension (SimulationConfig::output_fraction).
 #include <gtest/gtest.h>
 
 #include "core/grid.hpp"
@@ -87,38 +86,6 @@ TEST(OutputModel, LargerOutputsSlowTheRun) {
 
 TEST(OutputModel, NegativeFractionRejected) {
   SimulationConfig cfg = output_config(-0.1);
-  EXPECT_THROW(cfg.validate(), util::SimError);
-}
-
-TEST(Backbone, MultiplierFattensRootLinks) {
-  net::Topology topo = net::build_hierarchy({6, 3, 10.0, 5.0});
-  // Region links to root are the first 3 links added (root-region order).
-  std::size_t fat = 0;
-  std::size_t thin = 0;
-  for (net::LinkId l = 0; l < topo.link_count(); ++l) {
-    if (topo.link(l).bandwidth_mbps == 50.0) ++fat;
-    if (topo.link(l).bandwidth_mbps == 10.0) ++thin;
-  }
-  EXPECT_EQ(fat, 3u);   // backbone
-  EXPECT_EQ(thin, 6u);  // site links
-}
-
-TEST(Backbone, FatterBackboneHelpsCrossRegionTraffic) {
-  SimulationConfig cfg = output_config(0.0);
-  cfg.es = EsAlgorithm::JobRandom;  // lots of cross-region fetches
-  cfg.ds = DsAlgorithm::DataDoNothing;
-  Grid uniform(cfg);
-  uniform.run();
-  cfg.backbone_bandwidth_multiplier = 10.0;
-  Grid fat(cfg);
-  fat.run();
-  EXPECT_LE(fat.metrics().avg_response_time_s,
-            uniform.metrics().avg_response_time_s * 1.02);
-}
-
-TEST(Backbone, InvalidMultiplierRejected) {
-  SimulationConfig cfg = output_config(0.0);
-  cfg.backbone_bandwidth_multiplier = 0.0;
   EXPECT_THROW(cfg.validate(), util::SimError);
 }
 

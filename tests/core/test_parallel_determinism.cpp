@@ -51,7 +51,6 @@ SimulationConfig faulty_config() {
   cfg.fault_site_crash_rate_per_hour = 0.5;
   cfg.fault_site_downtime_s = 600.0;
   cfg.fault_transfer_fail_prob = 0.05;
-  cfg.fault_horizon_s = 7200.0;
   return cfg;
 }
 
